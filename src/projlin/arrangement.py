@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, SizeMismatch
-from .tree import RootedTree, compute_metrics
+from .tree import RootedTree
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -40,6 +40,9 @@ class LinearArrangement:
     __slots__ = ("pos", "inverse")
 
     def __init__(self, positions: Sequence[int]):
+        if isinstance(positions, np.ndarray):
+            self._init_from_array(positions)
+            return
         pos = (0,) + tuple(int(p) for p in positions)
         n = len(pos) - 1
         inverse = [0] * (n + 1)
@@ -50,6 +53,18 @@ class LinearArrangement:
             inverse[p] = v
         self.pos = pos
         self.inverse = tuple(inverse)
+
+    def _init_from_array(self, positions: np.ndarray) -> None:
+        """The same checks in bulk, for an integer array of positions."""
+        n = positions.size
+        inverse = np.zeros(n + 1, dtype=np.int64)
+        if n and not 1 <= positions.min() <= positions.max() <= n:
+            raise ValueError(f"positions are not a bijection onto 1..{n}")
+        inverse[positions] = np.arange(1, n + 1)
+        if np.count_nonzero(inverse) != n:
+            raise ValueError(f"positions are not a bijection onto 1..{n}")
+        self.pos = (0,) + tuple(positions.tolist())
+        self.inverse = tuple(inverse.tolist())
 
     @classmethod
     def identity(cls, n: int) -> "LinearArrangement":
@@ -121,19 +136,18 @@ def is_projective(tree: RootedTree, arrangement: LinearArrangement) -> bool:
     """True when every subtree occupies consecutive positions.
 
     Runs in O(n): the position span of each subtree is accumulated bottom
-    up and compared with the subtree size.  This interval criterion is
-    equivalent to having no edge crossings plus an uncovered root.
+    up and compared with the stored subtree size.  This interval criterion
+    is equivalent to having no edge crossings plus an uncovered root.
     """
     _check_same_size(tree, arrangement)
     n = tree.n
     pos = arrangement.pos
     parent = tree.parent
+    size = tree.size_array.tolist()
     lo = list(pos)
     hi = list(pos)
-    size = [1] * (n + 1)
     for v in reversed(tree.order):
         p = parent[v]
-        size[p] += size[v]
         if lo[v] < lo[p]:
             lo[p] = lo[v]
         if hi[v] > hi[p]:
@@ -167,8 +181,16 @@ def is_planar(tree: RootedTree, arrangement: LinearArrangement) -> bool:
 
 
 def count_projective(tree: RootedTree) -> int:
-    """Number of distinct projective arrangements: product of (d_v + 1)!."""
-    return math.prod(math.factorial(len(c) + 1) for c in tree.children[1:])
+    """Number of distinct projective arrangements: product of (d_v + 1)!.
+
+    Grouped by out-degree, as the product of (d + 1)! ** m_d over the
+    histogram m of the stored out-degrees.
+    """
+    histogram = np.bincount(tree.out_degree_array[1:])
+    degrees = np.flatnonzero(histogram)
+    return math.prod(
+        math.factorial(d + 1) ** m for d, m in zip(degrees.tolist(), histogram[degrees].tolist())
+    )
 
 
 def enumerate_projective(
@@ -216,30 +238,41 @@ def enumerate_projective(
 def sample_projective(tree: RootedTree, seed) -> LinearArrangement:
     """Draw one arrangement uniformly from the projective set.
 
-    Shuffles the d_v + 1 segments of every vertex independently and then
-    assigns position intervals top down, so no rejection is needed and the
-    cost is O(n).  ``seed`` may be an int or a ``numpy.random.Generator``
-    (pass a generator to draw several samples from one stream).
+    Every vertex v owns a block of d_v + 1 segments: v itself and the
+    subtree of each child.  Sorting the segments by block and then by a
+    uniformly random rank orders every block independently and uniformly,
+    so no rejection is needed.  Exclusive prefix sums of the segment lengths
+    give each segment's offset inside its block, and a block starts at 1
+    plus the offsets of the child segments on the path from its vertex
+    up to the root, summed by pointer doubling.  ``seed`` may be an int
+    or a ``numpy.random.Generator`` (pass a generator to draw several
+    samples from one stream).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = tree.n
-    size = compute_metrics(tree).size
-    pos = [0] * (n + 1)
-    start = [0] * (n + 1)
-    start[tree.root] = 1
-    children = tree.children
-    for v in tree.order:
-        kids = children[v]
-        offset = start[v]
-        if not kids:
-            pos[v] = offset
-            continue
-        for slot in rng.permutation(len(kids) + 1):
-            if slot == 0:
-                pos[v] = offset
-                offset += 1
-            else:
-                child = kids[slot - 1]
-                start[child] = offset
-                offset += size[child]
-    return LinearArrangement(pos[1:])
+    parent = tree.parent_array
+    size = tree.size_array
+    kids = np.flatnonzero(parent)  # every vertex but the root
+    # Segment v - 1 is vertex v in its own block; segment n + j is the
+    # subtree of kids[j] in its parent's block.
+    block = np.concatenate((np.arange(1, n + 1), parent[kids]))
+    length = np.concatenate((np.ones(n, dtype=np.int64), size[kids]))
+    perm = np.argsort(block * block.size + rng.permutation(block.size))
+    placed = length[perm]
+    # Block v holds size[v] positions, so the exclusive prefix sums of its
+    # d_v + 1 segments start at the total size of the blocks before it.
+    block_start = np.repeat(np.cumsum(size[1:]) - size[1:], tree.out_degree_array[1:] + 1)
+    offset = np.empty_like(placed)
+    offset[perm] = np.cumsum(placed) - placed - block_start
+
+    start = np.zeros(n + 1, dtype=np.int64)
+    start[kids] = offset[n:]
+    jump = parent.copy()
+    active = kids
+    while active.size:
+        up = jump[active]
+        start[active] += start[up]
+        up = jump[up]
+        jump[active] = up
+        active = active[up != 0]
+    return LinearArrangement(1 + start[1:] + offset[:n])

@@ -26,7 +26,8 @@ from . import arrangement as arr
 from . import expectation as expe
 from . import extrema
 from . import treebank
-from .errors import CapExceeded, ProjlinError
+from ._digits import exact_str
+from .errors import CapExceeded, OutOfRange, ProjlinError, UnreadableInput
 from .montecarlo import estimate_expected_sum
 from .tree import TREE_CLASSES, canonical_code, make_class, parse_head_vector
 
@@ -49,23 +50,39 @@ def format_rational(value: Fraction, decimals: int | None = None) -> str:
     """Render as "p/q" in lowest terms (or "p"), or as an exact fixed-point
     decimal with the requested number of digits."""
     if decimals is None:
-        return str(value)
+        return exact_str(value)
     if decimals < 0:
-        raise ValueError("decimal digits must be nonnegative")
+        raise OutOfRange(f"decimal digits must be nonnegative, got {decimals}")
     sign = "-" if value < 0 else ""
     scaled, remainder = divmod(abs(value.numerator) * 10**decimals, value.denominator)
     if 2 * remainder >= value.denominator:
         scaled += 1
-    digits = str(scaled).rjust(decimals + 1, "0")
+    digits = exact_str(scaled).rjust(decimals + 1, "0")
     if decimals == 0:
         return sign + digits
     return f"{sign}{digits[:-decimals]}.{digits[-decimals:]}"
 
 
+def _open_input(path: str):
+    """Open an input file as UTF-8 text, skipping a byte-order mark."""
+    try:
+        return open(path, encoding="utf-8-sig")
+    except OSError as exc:
+        raise UnreadableInput(f"cannot open {path}: {exc.strerror or exc}") from None
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> UnreadableInput:
+    return UnreadableInput(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
 def _tree_from_args(args):
     if getattr(args, "tree_file", None):
-        with open(args.tree_file, encoding="utf-8") as fh:
-            return parse_head_vector(fh.read())
+        with _open_input(args.tree_file) as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(args.tree_file, exc) from None
+        return parse_head_vector(text)
     if getattr(args, "tree", None) is None:
         raise ProjlinError("a tree is required: pass --tree or --tree-file")
     return parse_head_vector(args.tree)
@@ -97,7 +114,7 @@ def _cmd_expected(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    print(arr.count_projective(_tree_from_args(args)))
+    print(exact_str(arr.count_projective(_tree_from_args(args))))
     return EXIT_OK
 
 
@@ -111,6 +128,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_sample(args) -> int:
     tree = _tree_from_args(args)
     seed = _resolve_seed(args)
+    if args.z < 1:
+        raise OutOfRange(f"--z must be a positive sample count, got {args.z}")
     if args.mean:
         estimate = estimate_expected_sum(tree, args.z, seed)
         print(repr(estimate.mean))
@@ -118,13 +137,13 @@ def _cmd_sample(args) -> int:
     rng = np.random.default_rng(seed)
     for _ in range(args.z):
         arrangement = arr.sample_projective(tree, rng)
-        print(" ".join(str(v) for v in arrangement.inverse[1:]))
+        print(" ".join(map(str, arrangement.inverse[1:])))
     return EXIT_OK
 
 
 def _cmd_classes(args) -> int:
     count, value = expe.class_formula(args.tree_class, args.n, args.k)
-    print(f"{count} {format_rational(value, args.decimal)}")
+    print(f"{exact_str(count)} {format_rational(value, args.decimal)}")
     return EXIT_OK
 
 
@@ -154,13 +173,16 @@ def _cmd_analyze(args) -> int:
         raise ProjlinError("--z needs at least one positive sample count")
     seed = _resolve_seed(args)
     prefix = args.out_prefix or os.path.splitext(args.input)[0]
-    with open(args.input, encoding="utf-8") as fh:
-        report = treebank.analyze_treebank(
-            treebank.parse_conllu(fh, filter_punct=args.filter_punct),
-            z_values,
-            seed=seed,
-            jobs=args.jobs,
-        )
+    with _open_input(args.input) as fh:
+        try:
+            report = treebank.analyze_treebank(
+                treebank.parse_conllu(fh, filter_punct=args.filter_punct),
+                z_values,
+                seed=seed,
+                jobs=args.jobs,
+            )
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(args.input, exc) from None
     sentences_path = prefix + ".sentences.csv"
     summary_path = prefix + ".summary.csv"
     with open(sentences_path, "w", encoding="utf-8", newline="") as fh:

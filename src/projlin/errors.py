@@ -47,3 +47,7 @@ class ZeroExact(ProjlinError):
 
 class MalformedLine(ProjlinError):
     """A token line does not follow the expected 10-column format."""
+
+
+class UnreadableInput(ProjlinError):
+    """An input file cannot be opened, or is not UTF-8 text."""

@@ -19,17 +19,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import OutOfRange, UnsupportedSize
-from .tree import RootedTree, TREE_CLASSES, compute_metrics
+from .tree import RootedTree, TREE_CLASSES
 
 METHODS = ("closed_form", "recurrence")
-
-# Below this size the plain Python pass beats numpy's fixed overhead; very
-# deep trees (level count close to n) also stay on the Python path because
-# the vectorized version works level by level.
-_NUMPY_MIN_N = 2048
 
 
 def expected_sum_unconstrained(n: int) -> Fraction:
@@ -75,38 +68,16 @@ def expected_root_edge_length(n: int, subtree_size: int) -> Fraction:
     return expected_anchor_length(subtree_size) + expected_coanchor_length(n, subtree_size)
 
 
-def _closed_numerator_numpy(tree: RootedTree) -> int:
-    n = tree.n
-    parent = np.fromiter(tree.parent, dtype=np.int64, count=n + 1)
-    order = np.fromiter(tree.order, dtype=np.int64, count=n)
-    degree = np.bincount(parent[1:], minlength=n + 1)  # slot 0 absorbs the root
-    size = np.ones(n + 1, dtype=np.int64)
-    starts = tree.level_starts
-    for level in range(len(starts) - 2, 0, -1):
-        vertices = order[starts[level] : starts[level + 1]]
-        np.add.at(size, parent[vertices], size[vertices])
-    return int(np.dot(size[1:], 2 * degree[1:] + 1)) - 1
-
-
 def _closed_numerator(tree: RootedTree) -> int:
-    """-1 + sum over v of n_v (2 d_v + 1), via one bottom-up pass."""
-    n = tree.n
-    if n >= _NUMPY_MIN_N and len(tree.level_starts) - 1 <= max(64, n // 16):
-        return _closed_numerator_numpy(tree)
-    parent = tree.parent
-    children = tree.children
-    size = [1] * (n + 1)
-    total = 0
-    for v in reversed(tree.order):
-        s = size[v]
-        total += s * (2 * len(children[v]) + 1)
-        size[parent[v]] += s  # the root harmlessly adds into slot 0
-    return total - 1
+    """-1 + sum over v of n_v (2 d_v + 1), from the tree's stored arrays."""
+    size = tree.size_array
+    out_degree = tree.out_degree_array
+    return int(size[1:] @ (2 * out_degree[1:] + 1)) - 1
 
 
 def _recurrence_numerator(tree: RootedTree, minus_one: bool) -> int:
     """Six times the expectation, evaluated by the per-subtree recurrence."""
-    size = compute_metrics(tree).size
+    size = tree.size_array.tolist()
     children = tree.children
     acc = [0] * (tree.n + 1)
     shift = -5 if minus_one else 1

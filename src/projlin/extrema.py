@@ -78,8 +78,9 @@ def _attach_root(subtrees: Sequence[RootedTree]) -> RootedTree:
     offset = 1
     for sub in subtrees:
         links.append((offset + sub.root, 1))
+        children = sub.children
         for v in sub.order:
-            for c in sub.children[v]:
+            for c in children[v]:
                 links.append((offset + c, offset + v))
         offset += sub.n
     return build_tree(total, links, 1)

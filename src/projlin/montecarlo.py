@@ -23,7 +23,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import OutOfRange, ZeroExact
-from .tree import RootedTree, compute_metrics
+from .tree import RootedTree
 
 # Keep each sampled position matrix around 32 MB regardless of tree size.
 _CHUNK_CELLS = 4_000_000
@@ -99,14 +99,15 @@ def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     if n == 1:
         return MCEstimate(z, 0.0, seed)
     rng = np.random.default_rng(seed)
-    size = compute_metrics(tree).size
+    size = tree.size_array.tolist()
+    children = tree.children
     segment_sizes: list[np.ndarray | None] = [None] * (n + 1)
     for v in tree.order:
-        kids = tree.children[v]
+        kids = children[v]
         if kids:
             segment_sizes[v] = np.array([1] + [size[c] for c in kids], dtype=np.int64)
     vertices = np.fromiter(tree.order[1:], dtype=np.int64, count=n - 1)
-    parents = np.fromiter((tree.parent[v] for v in tree.order[1:]), dtype=np.int64, count=n - 1)
+    parents = tree.parent_array[vertices]
 
     chunk = max(1, min(z, _CHUNK_CELLS // (n + 1)))
     total = 0

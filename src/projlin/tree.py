@@ -1,9 +1,18 @@
 """Rooted trees on vertices 1..n.
 
-A rooted tree is stored as parent links plus per-vertex ordered children
-lists, with every edge oriented from the root towards the leaves.  Vertex
-ids and arrangement positions share the same 1-based range, so head
-vectors and CoNLL-U token ids line up without translation.
+A rooted tree is stored as three numpy arrays, computed once when it is
+built: the parent of every vertex, the size of every subtree and every
+out-degree.  The tuple views that Python loops read (parents, children
+lists in link order, breadth-first order) are built on first use and
+cached.  Vertex ids and arrangement positions share the same 1-based
+range, so head vectors and CoNLL-U token ids line up without translation.
+
+Every constructor ends in one core that validates a parent array and
+computes the subtree sizes.  Below ``_DOUBLING_MIN_N`` vertices it runs a
+plain Python breadth-first pass; from there on it uses numpy pointer
+doubling, which needs about log2(height) rounds of gathers and
+``bincount`` calls and no loop over vertices or levels, so a path costs
+no more than a bushy tree of the same size.
 
 The module also provides the named tree classes used by the closed-form
 tables (stars, quasi-stars, linear trees), AHU-style canonical codes for
@@ -36,40 +45,91 @@ TREE_CLASSES = (
     "linear_k",
 )
 
+# Trees with fewer vertices are validated and measured by the Python pass:
+# numpy's fixed cost per call makes pointer doubling the slower of the two
+# up to about this size (on 2 vCPUs, random trees and paths alike cross
+# over between 64 and 192 vertices).
+_DOUBLING_MIN_N = 128
+
 
 class RootedTree:
     """Immutable rooted tree over vertices 1..n.
 
-    Instances are produced by :func:`build_tree` (or the constructors built
-    on top of it) which validates the three structural conditions: single
-    headedness, connectedness, and acyclicity.  All fields are tuples and
-    must not be mutated; the object is safe to share between threads.
+    Instances are produced by :func:`build_tree` and :func:`tree_from_heads`
+    (or the constructors built on them), which validate single headedness,
+    connectedness and acyclicity.  The arrays are read-only and the views
+    are tuples, so the object is safe to share between threads.
 
     Attributes:
         n: number of vertices.
         root: the root vertex id.
-        parent: ``parent[v]`` is the parent of ``v`` (0 for the root and
-            for the unused index 0).
-        children: ``children[v]`` is the tuple of children of ``v`` in
-            insertion order.
+        parent_array: int64 array, ``parent_array[v]`` is the parent of
+            ``v`` (0 for the root and for the unused index 0).
+        size_array: int64 array of subtree sizes (index 0 holds 0).
+        out_degree_array: int64 array of child counts (index 0 holds 0).
+        parent: ``parent_array`` as a tuple of ints.
+        children: ``children[v]`` is the tuple of children of ``v`` in the
+            order their links were given (ascending for head vectors).
         order: all vertices in breadth-first order from the root.
-        level_starts: indices into ``order`` delimiting the BFS levels;
-            level ``i`` is ``order[level_starts[i]:level_starts[i + 1]]``.
     """
 
-    __slots__ = ("n", "root", "parent", "children", "order", "level_starts")
+    __slots__ = (
+        "n",
+        "root",
+        "parent_array",
+        "size_array",
+        "out_degree_array",
+        "_link_order",
+        "_parent",
+        "_children",
+        "_order",
+    )
 
-    def __init__(self, n, root, parent, children, order, level_starts):
+    def __init__(
+        self, n, root, parent_array, size_array, out_degree_array, link_order, children, order
+    ):
+        for array in (parent_array, size_array, out_degree_array):
+            array.flags.writeable = False
         self.n = n
         self.root = root
-        self.parent = parent
-        self.children = children
-        self.order = order
-        self.level_starts = level_starts
+        self.parent_array = parent_array
+        self.size_array = size_array
+        self.out_degree_array = out_degree_array
+        self._link_order = link_order
+        self._parent = None
+        self._children = children
+        self._order = order
+
+    @property
+    def parent(self) -> tuple[int, ...]:
+        if self._parent is None:
+            self._parent = tuple(self.parent_array.tolist())
+        return self._parent
+
+    @property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        if self._children is None:
+            kids = self._link_order
+            if kids is None:
+                kids = np.flatnonzero(self.parent_array)
+            kids = kids[np.argsort(self.parent_array[kids], kind="stable")].tolist()
+            children = []
+            start = 0
+            for d in self.out_degree_array.tolist():
+                children.append(tuple(kids[start : start + d]))
+                start += d
+            self._children = tuple(children)
+        return self._children
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        if self._order is None:
+            self._order = _bfs_order(self.root, self.children)
+        return self._order
 
     def head_vector(self) -> str:
         """Serialize as whitespace-separated parent ids, 0 for the root."""
-        return " ".join(str(self.parent[v]) for v in range(1, self.n + 1))
+        return " ".join(map(str, self.parent_array[1:].tolist()))
 
     def heads(self) -> tuple[int, ...]:
         """Parent id per vertex (0 for the root), as a tuple."""
@@ -83,13 +143,14 @@ class RootedTree:
         """
         if not 1 <= v <= self.n:
             raise OutOfRange(f"vertex {v} not in 1..{self.n}")
+        children = self.children
         relabel = {v: 1}
         frontier = [v]
         links = []
         while frontier:
             nxt = []
             for u in frontier:
-                for c in self.children[u]:
+                for c in children[u]:
                     relabel[c] = len(relabel) + 1
                     links.append((relabel[c], relabel[u]))
                     nxt.append(c)
@@ -99,10 +160,10 @@ class RootedTree:
     def __eq__(self, other):
         if not isinstance(other, RootedTree):
             return NotImplemented
-        return self.root == other.root and self.parent == other.parent
+        return self.root == other.root and np.array_equal(self.parent_array, other.parent_array)
 
     def __hash__(self):
-        return hash((self.root, self.parent))
+        return hash((self.root, self.parent_array.tobytes()))
 
     def __repr__(self):
         if self.n <= 16:
@@ -118,6 +179,112 @@ class SubtreeMetrics:
     out_degree: tuple[int, ...]
 
 
+def _bfs_order(root: int, children) -> tuple[int, ...]:
+    order = [root]
+    for v in order:  # the loop also visits the vertices appended here
+        order.extend(children[v])
+    return tuple(order)
+
+
+def _python_kernel(n: int, root: int, parent: list[int], link_order):
+    """Children lists, BFS order and subtree sizes by plain Python passes.
+
+    Raises CycleDetected when the breadth-first walk from the root misses
+    a vertex; the core has already made sure every other vertex has a
+    parent, so the missed ones hang off cycles.
+    """
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    for c in range(1, n + 1) if link_order is None else link_order:
+        children[parent[c]].append(c)
+    children[0] = []  # the root's parent slot
+    order = _bfs_order(root, children)
+    if len(order) != n:
+        raise CycleDetected("the unreachable vertices form one or more cycles")
+    size = [1] * (n + 1)
+    for v in reversed(order):
+        size[parent[v]] += size[v]  # the root harmlessly adds into slot 0
+    size[0] = 0
+    out_degree = [len(c) for c in children]
+    size_array = np.array(size, dtype=np.int64)
+    out_degree_array = np.array(out_degree, dtype=np.int64)
+    return size_array, out_degree_array, tuple(map(tuple, children)), order
+
+
+def _doubling_kernel(n: int, parent: np.ndarray):
+    """Subtree sizes by pointer doubling, with cycle detection.
+
+    Before round k, ``jump[x]`` is the ancestor 2^k links above x (0 when
+    there is none) and ``size[x]`` counts the descendants of x, itself
+    included, fewer than 2^k links below it.  Adding every ``size[x]``
+    into ``size[jump[x]]`` and squaring the jump doubles both distances.
+    A vertex that still has an ancestor n or more links above lies on, or
+    below, a cycle.
+    """
+    size = np.ones(n + 1)  # float64, as bincount sums weights; exact below 2^53
+    size[0] = 0
+    jump = parent.copy()
+    active = np.flatnonzero(jump)
+    reach = 1
+    while active.size:
+        if reach >= n:
+            raise CycleDetected("the unreachable vertices form one or more cycles")
+        up = jump[active]
+        size += np.bincount(up, weights=size[active], minlength=n + 1)
+        up = jump[up]
+        jump[active] = up
+        active = active[up != 0]
+        reach *= 2
+    out_degree = np.bincount(parent, minlength=n + 1)
+    out_degree[0] = 0
+    return size.astype(np.int64), out_degree
+
+
+def _root_head_error(n: int, root: int, parent) -> Exception:
+    """The error for a link that gives the root a parent, named as a
+    breadth-first walk from the root would find it."""
+    v = parent[root]
+    for _ in range(n):
+        if v in (0, root):
+            break
+        v = parent[v]
+    if v == root:
+        return CycleDetected(f"vertex {root} is reached twice from root {root}")
+    for w in range(1, n + 1):
+        if not parent[w] and w != root:
+            return Disconnected(f"vertex {w} is not reachable from root {root}")
+    return CycleDetected("the unreachable vertices form one or more cycles")
+
+
+def _tree_from_parent(n: int, root: int, parent, link_order=None) -> RootedTree:
+    """The constructor core: validate a parent array and measure the tree.
+
+    ``parent`` (a list or an int64 array of length n + 1) must already hold
+    only ids in 0..n, no self-loops and a 0 in slot 0; 0 marks a vertex
+    without a parent.  ``link_order`` lists the children in the order of
+    their links (None means ascending ids).  Raises Disconnected or
+    CycleDetected.
+    """
+    if isinstance(parent, np.ndarray):
+        n_links = int(np.count_nonzero(parent))
+    else:
+        n_links = n + 1 - parent.count(0)
+    if n_links < n - 1:
+        raise Disconnected(f"{n - 1} parent links needed to connect {n} vertices, got {n_links}")
+    if parent[root]:
+        raise _root_head_error(n, root, parent)
+    if n < _DOUBLING_MIN_N:
+        if isinstance(parent, np.ndarray):
+            parent = parent.tolist()
+        size, out_degree, children, order = _python_kernel(n, root, parent, link_order)
+        parent_array = np.array(parent, dtype=np.int64)
+        return RootedTree(n, root, parent_array, size, out_degree, None, children, order)
+    parent = np.asarray(parent, dtype=np.int64)
+    size, out_degree = _doubling_kernel(n, parent)
+    if link_order is not None:
+        link_order = np.array(link_order, dtype=np.int64)
+    return RootedTree(n, root, parent, size, out_degree, link_order, None, None)
+
+
 def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTree:
     """Build and validate a rooted tree from (child, parent) links.
 
@@ -129,94 +296,60 @@ def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTre
         raise UnsupportedSize(f"a tree needs at least one vertex, got n={n}")
     if not 1 <= root <= n:
         raise BadRoot(f"root {root} not in 1..{n}")
-
     parent = [0] * (n + 1)
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    has_head = bytearray(n + 1)
-    n_links = 0
+    link_order = []
     for child, par in links:
         if not (1 <= child <= n and 1 <= par <= n):
             raise OutOfRange(f"link ({child}, {par}) not within 1..{n}")
         if child == par:
             raise CycleDetected(f"vertex {child} is its own parent")
-        if has_head[child]:
+        if parent[child]:
             raise MultipleHeads(f"vertex {child} has more than one parent")
-        has_head[child] = 1
         parent[child] = par
-        children[par].append(child)
-        n_links += 1
-    if n_links < n - 1:
-        raise Disconnected(f"{n - 1} parent links needed to connect {n} vertices, got {n_links}")
-
-    order = [root]
-    visited = bytearray(n + 1)
-    visited[root] = 1
-    level_starts = [0, 1]
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for c in children[v]:
-                if visited[c]:
-                    raise CycleDetected(f"vertex {c} is reached twice from root {root}")
-                visited[c] = 1
-                nxt.append(c)
-        if not nxt:
-            break
-        order.extend(nxt)
-        level_starts.append(len(order))
-        frontier = nxt
-    if len(order) != n:
-        for v in range(1, n + 1):
-            if not visited[v] and not has_head[v]:
-                raise Disconnected(f"vertex {v} is not reachable from root {root}")
-        raise CycleDetected("the unreachable vertices form one or more cycles")
-
-    return RootedTree(
-        n,
-        root,
-        tuple(parent),
-        tuple(tuple(c) for c in children),
-        tuple(order),
-        tuple(level_starts),
-    )
+        link_order.append(child)
+    return _tree_from_parent(n, root, parent, link_order)
 
 
 def tree_from_heads(heads: Sequence[int]) -> RootedTree:
-    """Build a tree from a head vector (``heads[i]`` is the parent of i+1)."""
-    n = len(heads)
-    root = 0
-    links = []
-    for v, h in enumerate(heads, start=1):
-        if h == 0:
-            root = v
-        else:
-            links.append((v, h))
-    if root == 0:
+    """Build a tree from a head vector (``heads[i]`` is the parent of i+1).
+
+    The last 0 entry marks the root; any other 0 leaves its vertex
+    without a parent, which is reported as Disconnected.
+    """
+    head = np.asarray(heads)
+    if head.ndim != 1 or (head.size and head.dtype.kind not in "iu"):
+        raise OutOfRange("a head vector is a flat sequence of integers within 0..n")
+    head = head.astype(np.int64)
+    n = head.size
+    zeros = np.flatnonzero(head == 0)
+    if not zeros.size:
         raise BadRoot("head vector has no 0 entry")
-    return build_tree(n, links, root)
+    bad = (head < 0) | (head > n) | (head == np.arange(1, n + 1))
+    if bad.any():
+        v = int(np.argmax(bad)) + 1
+        h = int(head[v - 1])
+        if h == v:
+            raise CycleDetected(f"vertex {v} is its own parent")
+        raise OutOfRange(f"link ({v}, {h}) not within 1..{n}")
+    return _tree_from_parent(n, int(zeros[-1]) + 1, np.concatenate(([0], head)))
 
 
 def parse_head_vector(text: str) -> RootedTree:
     """Parse a whitespace-separated head vector such as ``"0 1 1 2"``."""
     try:
-        heads = [int(tok) for tok in text.split()]
+        heads = np.array(text.split(), dtype=np.int64)
     except ValueError as exc:
         raise OutOfRange(f"head vector must contain integers: {exc}") from None
-    if not heads:
+    except OverflowError:
+        raise OutOfRange("head vector entries must lie within 0..n") from None
+    if not heads.size:
         raise UnsupportedSize("empty head vector")
     return tree_from_heads(heads)
 
 
 def compute_metrics(tree: RootedTree) -> SubtreeMetrics:
-    """Subtree size and out-degree per vertex, in one reverse-BFS pass."""
-    size = [1] * (tree.n + 1)
-    size[0] = 0
-    parent = tree.parent
-    for v in reversed(tree.order):
-        size[parent[v]] += size[v]
-    size[0] = 0
-    return SubtreeMetrics(tuple(size), tuple(len(c) for c in tree.children))
+    """Subtree size and out-degree per vertex, as tuples of ints."""
+    return SubtreeMetrics(tuple(tree.size_array.tolist()), tuple(tree.out_degree_array.tolist()))
 
 
 def canonical_code(tree: RootedTree) -> bytes:
@@ -227,8 +360,9 @@ def canonical_code(tree: RootedTree) -> bytes:
     rooted trees.  The computation is iterative and handles deep chains.
     """
     codes: list[bytes] = [b""] * (tree.n + 1)
+    children = tree.children
     for v in reversed(tree.order):
-        kids = tree.children[v]
+        kids = children[v]
         if kids:
             codes[v] = b"(" + b"".join(sorted(codes[c] for c in kids)) + b")"
         else:

@@ -25,6 +25,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from ._digits import exact_str
 from .arrangement import LinearArrangement, count_projective, is_projective, sum_edge_lengths
 from .errors import ProjlinError
 from .expectation import expected_sum_projective
@@ -252,7 +253,8 @@ def analyze_treebank(
 
 
 def write_sentence_csv(report: TreebankReport, fp: IO[str]) -> None:
-    """Per-sentence rows, one per (sentence, z); exact values as fractions."""
+    """Per-sentence rows, one per (sentence, z); exact values as fractions,
+    arrangement counts with all their digits."""
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(
         [
@@ -278,7 +280,7 @@ def write_sentence_csv(report: TreebankReport, fp: IO[str]) -> None:
                     a.observed_standard,
                     a.observed_minus_one,
                     "true" if a.projective else "false",
-                    a.arrangement_count,
+                    exact_str(a.arrangement_count),
                     str(a.exact),
                     repr(estimate),
                     "" if err is None else repr(err),

@@ -135,3 +135,40 @@ def random_tree_corpus(count, n_low, n_high, seed):
         n = int(rng.integers(n_low, n_high + 1))
         corpus.append(random_tree(n, rng))
     return corpus
+
+
+def oracle_tree_from_heads(heads):
+    """Views of the tree a head vector describes, or None if it is no tree.
+
+    Works from the definition: exactly one 0 entry, every other entry a
+    vertex other than its own, and every vertex reaching the root by
+    walking up at most n parent links.  Returns (parent, children, order,
+    size, out_degree) with index 0 unused, as the tuples a RootedTree
+    exposes.
+    """
+    n = len(heads)
+    if list(heads).count(0) != 1:
+        return None
+    if any(not 0 <= h <= n or h == v for v, h in enumerate(heads, start=1)):
+        return None
+    parent = (0,) + tuple(heads)
+    root = parent.index(0, 1)
+    ancestors = {}
+    for v in range(1, n + 1):
+        chain = [v]
+        while chain[-1] != root and len(chain) <= n:
+            chain.append(parent[chain[-1]])
+        if chain[-1] != root:
+            return None
+        ancestors[v] = chain
+    children = tuple(
+        tuple(v for v in range(1, n + 1) if parent[v] == p and v != root) for p in range(n + 1)
+    )
+    order = []
+    level = [root]
+    while level:
+        order.extend(level)
+        level = [c for p in level for c in children[p]]
+    size = (0,) + tuple(sum(u in chain for chain in ancestors.values()) for u in range(1, n + 1))
+    out_degree = tuple(len(c) for c in children)
+    return parent, children, tuple(order), size, out_degree

@@ -1,6 +1,9 @@
 """CLI surface: outputs, exit codes, determinism, environment seed."""
 
+import csv
+import math
 import os
+import sys
 
 import pytest
 
@@ -151,3 +154,92 @@ def test_selfcheck_small(capsys):
     assert code == EXIT_OK
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def _all_digits(text):
+    """Parse a decimal integer of any length (the 4,300-digit limit lifted)."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_count_prints_every_digit(capsys):
+    limit = sys.get_int_max_str_digits()
+    star = " ".join(["0"] + ["1"] * 2000)
+    code, out, err = run(capsys, "count", "--tree", star)
+    assert code == EXIT_OK, err
+    assert len(out.strip()) > 4300
+    assert _all_digits(out.strip()) == math.factorial(2001)
+    assert sys.get_int_max_str_digits() == limit  # lifted only while printing
+
+
+def test_analyze_writes_rows_for_huge_counts(tmp_path, capsys):
+    sentences = [(0,), (0,) + (1,) * 2000, (2, 0)]
+    lines = []
+    for i, heads in enumerate(sentences):
+        lines.append(f"# sent_id = s{i}")
+        for v, h in enumerate(heads, start=1):
+            lines.append(f"{v}\tw{v}\t_\tX\t_\t_\t{h}\t_\t_\t_")
+        lines.append("")
+    corpus = tmp_path / "star.conllu"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    prefix = str(tmp_path / "out")
+    code, out, err = run(
+        capsys, "analyze", "--input", str(corpus), "--z", "10,20", "--seed", "1",
+        "--out-prefix", prefix,
+    )
+    assert code == EXIT_OK, err
+    with open(prefix + ".sentences.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["sentence_id"], r["z"]) for r in rows] == [
+        (f"s{i}", z) for i in range(3) for z in ("10", "20")
+    ]
+    star_rows = [r for r in rows if r["sentence_id"] == "s1"]
+    assert all(_all_digits(r["projective_arrangements"]) == math.factorial(2001) for r in star_rows)
+
+
+def test_missing_input_files(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, "expected", "--tree-file", missing)
+    assert code == EXIT_VALIDATION and err.startswith("UnreadableInput") and out == ""
+    code, out, err = run(capsys, "analyze", "--input", missing)
+    assert code == EXIT_VALIDATION and err.startswith("UnreadableInput") and out == ""
+
+
+def test_input_files_that_are_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("0 1\n# caf\xe9\n".encode("latin-1"))
+    code, _, err = run(capsys, "expected", "--tree-file", str(path))
+    assert code == EXIT_VALIDATION and err.startswith("UnreadableInput")
+    code, _, err = run(capsys, "analyze", "--input", str(path), "--out-prefix", str(tmp_path / "o"))
+    assert code == EXIT_VALIDATION and err.startswith("UnreadableInput")
+
+
+def test_inputs_with_a_byte_order_mark(tmp_path, capsys):
+    tree = tmp_path / "tree.txt"
+    tree.write_text("\ufeff0 1 1 1 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "expected", "--tree-file", str(tree))
+    assert code == EXIT_OK and out == "8\n", err
+    corpus = tmp_path / "bom.conllu"
+    tokens = ["1\tw1\t_\tX\t_\t_\t0\t_\t_\t_", "2\tw2\t_\tX\t_\t_\t1\t_\t_\t_"]
+    corpus.write_text("\ufeff" + "\n".join(tokens) + "\n\n", encoding="utf-8")
+    prefix = str(tmp_path / "o")
+    code, out, err = run(capsys, "analyze", "--input", str(corpus), "--z", "10", "--out-prefix", prefix)
+    assert code == EXIT_OK, err
+    assert "analyzed 1 sentences, skipped 0" in out
+
+
+def test_sample_needs_a_positive_z(capsys):
+    for z in ("-3", "0"):
+        code, out, err = run(capsys, "sample", "--tree", "0 1", "--z", z)
+        assert code == EXIT_VALIDATION and err.startswith("OutOfRange") and out == ""
+
+
+def test_negative_decimal_digits(capsys):
+    code, out, err = run(capsys, "expected", "--tree", "0 1 1", "--decimal", "-1")
+    assert code == EXIT_VALIDATION and err.startswith("OutOfRange") and out == ""
+    code, out, err = run(capsys, "classes", "--class", "star_hub", "--n", "5", "--decimal", "-1")
+    assert code == EXIT_VALIDATION and err.startswith("OutOfRange") and out == ""

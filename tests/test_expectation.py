@@ -9,6 +9,7 @@ from projlin import (
     OutOfRange,
     TREE_CLASSES,
     UnsupportedSize,
+    build_tree,
     canonical_code,
     class_formula,
     count_projective,
@@ -22,7 +23,6 @@ from projlin import (
     parse_head_vector,
     random_tree,
 )
-from projlin.expectation import _closed_numerator_numpy
 from helpers import brute_mean_projective, all_labeled_rooted_trees
 
 
@@ -109,13 +109,21 @@ def test_methods_agree_on_random_trees():
         assert closed_m1 == recurrence_m1 == closed - (t.n - 1)
 
 
-def test_numpy_path_matches_python_path():
+def test_closed_form_matches_recurrence_on_large_trees():
+    # bushy random trees and the deep shapes (a path, a caterpillar), all
+    # above the size where the tree is measured by pointer doubling
     rng = np.random.default_rng(33)
-    for _ in range(5):
-        t = random_tree(3000, rng)
-        assert len(t.level_starts) - 1 <= 3000 // 16  # the vectorized path applies
-        numerator = _closed_numerator_numpy(t)
-        assert Fraction(numerator, 6) == expected_sum_projective(t, method="recurrence")
+    trees = [random_tree(3000, rng) for _ in range(5)]
+    trees.append(make_class("linear_k", 3000, 0))
+    spine = [(v, v - 1) for v in range(2, 1501)]
+    legs = [(1500 + v, v) for v in range(1, 1501)]
+    trees.append(build_tree(3000, spine + legs, 1))
+    for t in trees:
+        assert t.n == 3000
+        closed = expected_sum_projective(t, method="closed_form")
+        assert closed == expected_sum_projective(t, method="recurrence")
+    assert trees[5].size_array[1:].tolist() == list(range(3000, 0, -1))
+    assert expected_sum_projective(trees[5]) == Fraction(2999 * 3002, 4)
 
 
 def test_brute_force_oracle_small_trees():

@@ -1,13 +1,19 @@
 """Tree construction, validation, metrics, classes, and canonical codes."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import projlin.tree as tree_module
 from projlin import (
     BadRoot,
     CycleDetected,
     Disconnected,
     MultipleHeads,
     OutOfRange,
+    ProjlinError,
     UnsupportedSize,
     build_tree,
     canonical_code,
@@ -18,7 +24,7 @@ from projlin import (
     random_tree,
     tree_from_heads,
 )
-from helpers import all_labeled_rooted_trees
+from helpers import all_labeled_rooted_trees, oracle_tree_from_heads
 
 
 def test_single_vertex():
@@ -61,6 +67,12 @@ def test_head_vector_round_trip():
     t = parse_head_vector("0 1 1 2 2")
     assert t.head_vector() == "0 1 1 2 2"
     assert tree_from_heads((0, 1, 1, 2, 2)) == t
+
+
+def test_head_vectors_must_hold_integers():
+    for heads in ([0, 1.5], [0, 10**30], [[0, 1]], ["0", "1"]):
+        with pytest.raises(OutOfRange):
+            tree_from_heads(heads)
 
 
 def test_metrics_star_and_chain():
@@ -170,3 +182,73 @@ def test_random_tree_determinism_and_validity():
     assert random_tree(40, 124) != a
     m = compute_metrics(a)
     assert m.size[a.root] == 40
+
+
+def _views(build):
+    """What a constructor gives: the tree's views, or the error it raised."""
+    try:
+        t = build()
+    except ProjlinError as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        t.parent,
+        t.children,
+        t.order,
+        tuple(t.size_array.tolist()),
+        tuple(t.out_degree_array.tolist()),
+    )
+
+
+def _both_kernels(build):
+    """Run a constructor with the Python pass, then with pointer doubling,
+    and require the same result from both."""
+    results = []
+    for cutoff in (10**9, 0):
+        with mock.patch.object(tree_module, "_DOUBLING_MIN_N", cutoff):
+            results.append(_views(build))
+    assert results[0] == results[1]
+    return results[0]
+
+
+@st.composite
+def head_vectors(draw):
+    """Arbitrary head vectors, and trees with at most one entry changed."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-1, n + 1), min_size=n, max_size=n))
+    labels = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * n
+    for i in range(1, n):
+        heads[labels[i] - 1] = labels[draw(st.integers(0, i - 1))]
+    if draw(st.booleans()):
+        heads[draw(st.integers(0, n - 1))] = draw(st.integers(-1, n + 1))
+    return heads
+
+
+@settings(max_examples=400, deadline=None)
+@given(head_vectors())
+def test_head_vectors_give_the_oracle_tree_or_a_named_error(heads):
+    got = _both_kernels(lambda: tree_from_heads(heads))
+    assert got == _both_kernels(lambda: parse_head_vector(" ".join(map(str, heads))))
+    want = oracle_tree_from_heads(heads)
+    if want is None:
+        assert isinstance(got[0], str)  # an error's class name
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(head_vectors(), st.randoms(use_true_random=False))
+def test_links_in_any_order_keep_their_order_in_children(heads, rnd):
+    if oracle_tree_from_heads(heads) is None:
+        return
+    links = [(v, h) for v, h in enumerate(heads, start=1) if h]
+    rnd.shuffle(links)
+    root = heads.index(0) + 1
+    got = _both_kernels(lambda: build_tree(len(heads), links, root))
+    parent, children, order, size, out_degree = got
+    assert parent == (0,) + tuple(heads)
+    for p in range(len(heads) + 1):
+        assert children[p] == tuple(c for c, h in links if h == p)
+    assert size[root] == len(heads) and sum(out_degree) == len(heads) - 1
+    assert order[0] == root and sorted(order) == list(range(1, len(heads) + 1))
