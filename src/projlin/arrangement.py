@@ -161,22 +161,27 @@ def is_projective(tree: RootedTree, arrangement: LinearArrangement) -> bool:
 def is_planar(tree: RootedTree, arrangement: LinearArrangement) -> bool:
     """True when no two edges cross when drawn above the positions.
 
-    Edges sharing an endpoint never cross.  Quadratic pairwise test; the
-    linear interval criterion lives in :func:`is_projective`.
+    Edges sharing an endpoint never cross.  The edge spans are scanned by
+    left end, longer spans first, with a stack of the spans still open:
+    spans ending at or before the new left end are closed, and the new
+    span crosses an open one exactly when the innermost open span ends
+    strictly inside it.  O(n log n); the linear interval criterion lives in
+    :func:`is_projective`.
     """
     _check_same_size(tree, arrangement)
     pos = arrangement.pos
     parent = tree.parent
-    spans = []
-    for v in tree.order[1:]:
-        a, b = pos[v], pos[parent[v]]
-        spans.append((a, b) if a < b else (b, a))
-    for i in range(len(spans)):
-        a1, b1 = spans[i]
-        for j in range(i + 1, len(spans)):
-            a2, b2 = spans[j]
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                return False
+    spans = sorted(
+        (min(pos[v], pos[p]), -max(pos[v], pos[p])) for v, p in enumerate(parent) if p
+    )
+    open_ends: list[int] = []
+    for left, neg_right in spans:
+        right = -neg_right
+        while open_ends and open_ends[-1] <= left:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < right:
+            return False
+        open_ends.append(right)
     return True
 
 
@@ -235,44 +240,65 @@ def enumerate_projective(
         yield LinearArrangement.from_inverse(sequence)
 
 
-def sample_projective(tree: RootedTree, seed) -> LinearArrangement:
-    """Draw one arrangement uniformly from the projective set.
+def _segment_offsets(
+    tree: RootedTree, z: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offset of every segment inside its block, for z independent draws.
 
     Every vertex v owns a block of d_v + 1 segments: v itself and the
-    subtree of each child.  Sorting the segments by block and then by a
-    uniformly random rank orders every block independently and uniformly,
-    so no rejection is needed.  Exclusive prefix sums of the segment lengths
-    give each segment's offset inside its block, and a block starts at 1
-    plus the offsets of the child segments on the path from its vertex
-    up to the root, summed by pointer doubling.  ``seed`` may be an int
-    or a ``numpy.random.Generator`` (pass a generator to draw several
-    samples from one stream).
+    subtree of each child.  Returns ``kids``, every vertex but the root,
+    and a (z, 2n - 1) int64 matrix whose column v - 1 holds the offset of
+    v's own slot in block v and whose column n + j holds the offset of the
+    subtree of kids[j] in its parent's block.  Sorting the segments by
+    block and then by a uniformly random rank orders every block
+    independently and uniformly; row i takes its ranks from the i-th of z
+    successive ``rng.permutation(2n - 1)`` draws, so a draw does not
+    depend on how many rows are drawn with it.  Exclusive prefix sums of
+    the sorted segment lengths give the offsets.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = tree.n
     parent = tree.parent_array
     size = tree.size_array
-    kids = np.flatnonzero(parent)  # every vertex but the root
-    # Segment v - 1 is vertex v in its own block; segment n + j is the
-    # subtree of kids[j] in its parent's block.
+    kids = np.flatnonzero(parent)
+    m = 2 * n - 1
     block = np.concatenate((np.arange(1, n + 1), parent[kids]))
     length = np.concatenate((np.ones(n, dtype=np.int64), size[kids]))
-    perm = np.argsort(block * block.size + rng.permutation(block.size))
+    keys = rng.permuted(np.arange(m)[None].repeat(z, 0), axis=1)
+    keys += block * m
+    perm = np.argsort(keys, axis=1)
+    del keys  # at most three (z, 2n - 1) arrays live at once
     placed = length[perm]
+    offset = np.cumsum(placed, axis=1)
+    offset -= placed
+    del placed
     # Block v holds size[v] positions, so the exclusive prefix sums of its
     # d_v + 1 segments start at the total size of the blocks before it.
-    block_start = np.repeat(np.cumsum(size[1:]) - size[1:], tree.out_degree_array[1:] + 1)
-    offset = np.empty_like(placed)
-    offset[perm] = np.cumsum(placed) - placed - block_start
+    offset -= np.repeat(np.cumsum(size[1:]) - size[1:], tree.out_degree_array[1:] + 1)
+    out = np.empty_like(offset)
+    out[np.arange(z)[:, None], perm] = offset
+    return kids, out
 
+
+def sample_projective(tree: RootedTree, seed) -> LinearArrangement:
+    """Draw one arrangement uniformly from the projective set.
+
+    The one-draw case of :func:`_segment_offsets`: a block starts at 1
+    plus the offsets of the child segments on the path from its vertex up
+    to the root, summed by pointer doubling, and a vertex sits at its own
+    offset from the start of its block.  No rejection is needed.  ``seed``
+    may be an int or a ``numpy.random.Generator`` (pass a generator to
+    draw several samples from one stream).
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    n = tree.n
+    kids, (offset,) = _segment_offsets(tree, 1, rng)
+    # Doubling turns start[v] into the sum of these values from v up to the
+    # root, whose block starts at position 1.
     start = np.zeros(n + 1, dtype=np.int64)
     start[kids] = offset[n:]
-    jump = parent.copy()
-    active = kids
-    while active.size:
-        up = jump[active]
-        start[active] += start[up]
-        up = jump[up]
-        jump[active] = up
-        active = active[up != 0]
-    return LinearArrangement(1 + start[1:] + offset[:n])
+    start[tree.root] = 1
+    jump = tree.parent_array
+    while np.count_nonzero(jump):
+        start += start[jump]
+        jump = jump[jump]
+    return LinearArrangement(start[1:] + offset[:n])

@@ -1,12 +1,11 @@
 """Monte Carlo estimation of the projective expectation, with error stats.
 
 The estimator averages the total edge length over z independent uniform
-projective arrangements.  It runs the same segment-shuffling construction
-as :func:`projlin.arrangement.sample_projective`, but vectorized across
-samples: per vertex, z random permutations of its d_v + 1 segments are
-drawn at once (argsort of iid uniforms) and the position intervals are
-assigned in bulk.  The per-sample distribution is identical; only the
-generator consumption differs.
+projective arrangements, drawn by the same sampler as
+:func:`projlin.arrangement.sample_projective`: the estimate from a seed
+is exactly the mean edge-length sum of z successive ``sample_projective``
+draws from ``numpy.random.default_rng(seed)``.  It needs no positions,
+only each segment's offset inside its block, taken for many draws at once.
 
 Relative errors of estimates against exact values are aggregated per tree
 size with percentile-bootstrap confidence intervals, matching the usual
@@ -15,17 +14,17 @@ presentation of such error studies (mean, min, max, and a 99% band).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
+from .arrangement import _segment_offsets
 from .errors import OutOfRange, ZeroExact
 from .tree import RootedTree
 
-# Keep each sampled position matrix around 32 MB regardless of tree size.
+# Keep each sampled offset matrix around 32 MB regardless of tree size.
 _CHUNK_CELLS = 4_000_000
 
 
@@ -51,47 +50,12 @@ class ErrorStats:
     ci_high: float
 
 
-def _sample_positions(
-    tree: RootedTree,
-    z: int,
-    rng: np.random.Generator,
-    segment_sizes: list[np.ndarray | None],
-) -> np.ndarray:
-    """Positions of z independent uniform projective arrangements.
-
-    Returns an int64 array of shape (z, n + 1); column v holds the
-    position of vertex v (column 0 unused).
-    """
-    n = tree.n
-    children = tree.children
-    pos = np.empty((z, n + 1), dtype=np.int64)
-    start = np.zeros((z, n + 1), dtype=np.int64)
-    start[:, tree.root] = 1
-    for v in tree.order:
-        kids = children[v]
-        if not kids:
-            pos[:, v] = start[:, v]
-            continue
-        sizes = segment_sizes[v]
-        arity = len(kids) + 1
-        perm = np.argsort(rng.random((z, arity)), axis=1)
-        placed = sizes[perm]
-        offsets = np.cumsum(placed, axis=1) - placed
-        segment_offset = np.empty_like(offsets)
-        np.put_along_axis(segment_offset, perm, offsets, axis=1)
-        absolute = start[:, v, None] + segment_offset
-        pos[:, v] = absolute[:, 0]
-        for j, child in enumerate(kids):
-            start[:, child] = absolute[:, j + 1]
-    return pos
-
-
 def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     """Mean total edge length over z uniform projective samples.
 
-    Deterministic given the seed; cost O(z n).  The per-sample sums are
-    integers, so the accumulation is exact and only the final division
-    produces a float.
+    Deterministic given the seed; cost O(z n log n), one sort of the 2n - 1
+    segments per sample.  The per-sample sums are integers, so the
+    accumulation is exact and only the final division produces a float.
     """
     if z < 1:
         raise OutOfRange(f"z must be positive, got {z}")
@@ -99,24 +63,20 @@ def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     if n == 1:
         return MCEstimate(z, 0.0, seed)
     rng = np.random.default_rng(seed)
-    size = tree.size_array.tolist()
-    children = tree.children
-    segment_sizes: list[np.ndarray | None] = [None] * (n + 1)
-    for v in tree.order:
-        kids = children[v]
-        if kids:
-            segment_sizes[v] = np.array([1] + [size[c] for c in kids], dtype=np.int64)
-    vertices = np.fromiter(tree.order[1:], dtype=np.int64, count=n - 1)
-    parents = tree.parent_array[vertices]
-
-    chunk = max(1, min(z, _CHUNK_CELLS // (n + 1)))
+    chunk = max(1, min(z, _CHUNK_CELLS // (2 * n - 1)))
     total = 0
     remaining = z
     while remaining:
         batch = min(remaining, chunk)
-        pos = _sample_positions(tree, batch, rng, segment_sizes)
-        lengths = np.abs(pos[:, vertices] - pos[:, parents]).sum(axis=1)
+        kids, offset = _segment_offsets(tree, batch, rng)
+        # Edge (p, c) has length |seg(c) + own(c) - own(p)|: c's segment
+        # offset in block p, c's own offset in block c, p's in block p.
+        lengths = offset[:, n:]
+        lengths += offset[:, kids - 1]
+        lengths -= offset[:, tree.parent_array[kids] - 1]
+        np.abs(lengths, out=lengths)
         total += int(lengths.sum())
+        del offset, lengths  # free this chunk before the next is drawn
         remaining -= batch
     return MCEstimate(z, total / z, seed)
 
@@ -173,12 +133,3 @@ def aggregate_errors(
         )
     return out
 
-
-def write_error_stats_csv(stats: Sequence[ErrorStats], fp: IO[str]) -> None:
-    """Write per-size error summaries as plot-ready CSV."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["n", "count", "mean_err", "ci_low", "ci_high", "min_err", "max_err"])
-    for s in stats:
-        writer.writerow(
-            [s.n, s.samples, repr(s.mean_err), repr(s.ci_low), repr(s.ci_high), repr(s.min_err), repr(s.max_err)]
-        )

@@ -120,6 +120,29 @@ def test_planarity_small_sizes_against_oracle():
                 assert is_planar(t, a)
 
 
+def test_planarity_random_trees_against_oracle():
+    # random permutations are mostly crossing, projective samples never,
+    # and a projective sample with two vertices swapped is either
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 13))
+        t = random_tree(n, rng)
+        projective = sample_projective(t, rng)
+        swapped = list(projective.pos[1:])
+        i, j = rng.integers(0, n, size=2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        for a in (
+            LinearArrangement((rng.permutation(n) + 1).tolist()),
+            projective,
+            LinearArrangement(swapped),
+        ):
+            planar = is_planar(t, a)
+            assert planar == oracle_is_planar(t, a)
+            outcomes.add(planar)
+    assert outcomes == {True, False}
+
+
 def test_count_projective_examples():
     assert count_projective(make_class("star_hub", 5)) == 120
     assert count_projective(make_class("linear_k", 4, 0)) == 8

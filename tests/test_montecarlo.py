@@ -1,10 +1,10 @@
 """Monte Carlo estimator, relative errors, and bootstrap aggregation."""
 
-import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from projlin import (
     OutOfRange,
@@ -19,9 +19,10 @@ from projlin import (
     parse_head_vector,
     random_tree,
     relative_error,
+    sample_projective,
     sum_edge_lengths,
-    write_error_stats_csv,
 )
+from projlin import montecarlo
 
 
 def test_estimate_trivial_trees():
@@ -52,17 +53,42 @@ def test_estimate_z_validation():
 
 
 def test_estimate_matches_enumeration_distribution():
-    # chi-square of vectorized sampled sums against the exact distribution
-    # of sums over the enumerated arrangements of a 5-vertex tree
+    # chi-square of single-draw estimates (each one draw's edge-length sum)
+    # against the exact distribution of sums over the enumerated
+    # arrangements of a 5-vertex tree, then the mean of many draws
     t = parse_head_vector("0 1 1 2")
     sums = {}
     for a in enumerate_projective(t):
         s = sum_edge_lengths(t, a)
         sums[s] = sums.get(s, 0) + 1
     total = count_projective(t)
+    draws = 20000
+    observed = dict.fromkeys(sums, 0)
+    for seed in range(draws):
+        observed[int(estimate_expected_sum(t, 1, seed).mean)] += 1
+    assert sum(observed.values()) == draws  # no sum outside the support
+    expected = [draws * sums[s] / total for s in sums]
+    assert chisquare(list(observed.values()), expected).pvalue > 1e-3
     exact_mean = expected_sum_projective(t)
     est = estimate_expected_sum(t, 200000, 31)
     assert abs(est.mean - float(exact_mean)) < 0.02
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 3], ids=["one_chunk", "several_chunks"])
+def test_estimate_is_the_mean_of_sampler_draws(monkeypatch, chunk_rows):
+    # the estimator draws exactly what z successive sample_projective calls
+    # on one generator draw, also when z is split over several chunks
+    rng = np.random.default_rng(404)
+    for _ in range(125):
+        n = int(rng.integers(2, 61))
+        z = int(rng.integers(1, 31))
+        seed = int(rng.integers(2**32))
+        t = random_tree(n, rng)
+        if chunk_rows:
+            monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", chunk_rows * (2 * n - 1))
+        draws = np.random.default_rng(seed)
+        total = sum(sum_edge_lengths(t, sample_projective(t, draws)) for _ in range(z))
+        assert estimate_expected_sum(t, z, seed).mean == total / z
 
 
 def test_estimate_converges_on_random_trees():
@@ -128,12 +154,3 @@ def test_bootstrap_coverage():
             hits += 1
     assert hits >= 985
 
-
-def test_error_stats_csv_shape():
-    stats = aggregate_errors([(3, 0.25), (3, -0.25), (9, 0.5)], seed=1)
-    buffer = io.StringIO()
-    write_error_stats_csv(stats, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "n,count,mean_err,ci_low,ci_high,min_err,max_err"
-    assert len(lines) == 3
-    assert lines[1].startswith("3,2,") and lines[2].startswith("9,1,")

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projlin import (
     SkipRecord,
@@ -119,6 +121,62 @@ def test_punct_filtering():
     (record,) = list(parse_conllu(io.StringIO(bad), filter_punct=True))
     assert isinstance(record, SkipRecord)
     assert record.reason == "head refers to a removed token"
+
+
+_FIELDS = st.one_of(st.integers(-2, 8).map(str), st.sampled_from(["1-2", "1.1", "x", ""]))
+_UPOS = st.sampled_from(["X", "PUNCT"])
+_JUNK = st.one_of(
+    st.builds(token_line, _FIELDS, st.just("w"), _FIELDS, _UPOS),
+    st.sampled_from(["", "# sent_id = s", "# text = w w", "#", token_line("1-2", "ww", "_")]),
+    st.text(st.characters(exclude_characters="\n"), max_size=20),
+)
+
+
+@st.composite
+def conllu_sentence(draw):
+    """A tree of up to 8 tokens with at most one id or head changed and
+    maybe one junk line inserted, or junk lines alone."""
+    if draw(st.booleans()):
+        return draw(st.lists(_JUNK, max_size=8))
+    n = draw(st.integers(1, 8))
+    labels = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * (n + 1)
+    for i in range(1, n):
+        heads[labels[i]] = labels[draw(st.integers(0, i - 1))]
+    fields = [[v, heads[v]] for v in range(1, n + 1)]
+    if draw(st.booleans()):
+        fields[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = draw(_FIELDS)
+    lines = [token_line(i, "w", head, draw(_UPOS)) for i, head in fields]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, n)), draw(_JUNK))
+    return lines
+
+
+def conllu_lines():
+    """Sentences separated by one or two blank lines, or run together."""
+    separator = st.sampled_from([[""], [""], ["", ""], []])
+    parts = st.lists(st.tuples(conllu_sentence(), separator), max_size=6)
+    return parts.map(lambda ps: [line for sentence, sep in ps for line in sentence + sep])
+
+
+@settings(max_examples=300, deadline=None)
+@given(conllu_lines())
+def test_any_lines_give_one_tree_or_skip_record_per_sentence(lines):
+    sentences = sum(
+        1 for i, line in enumerate(lines) if line.strip() and (i == 0 or not lines[i - 1].strip())
+    )
+    for filter_punct in (False, True):
+        text = io.StringIO("\n".join(lines) + "\n")
+        records = list(parse_conllu(text, filter_punct=filter_punct))
+        assert len(records) == sentences
+        for record in records:
+            if isinstance(record, SkipRecord):
+                continue
+            assert isinstance(record, TreebankSentence)
+            n = record.tree.n
+            assert n == len(record.tokens) == record.observed.n
+            assert [token.id for token in record.tokens] == list(range(1, n + 1))
+            assert record.tree.parent[1:] == tuple(token.head for token in record.tokens)
 
 
 def test_projective_sentence_fixture_observed_sum():
