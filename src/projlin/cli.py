@@ -211,14 +211,14 @@ def _cmd_selfcheck(args) -> int:
         if not ok:
             failures += 1
 
+    memo: extrema.MemoTable = {}
     for n in range(1, args.max_n + 1):
         trees = list(extrema.enumerate_rooted_trees(n))
         count_ok = True
         mean_ok = True
         projective_ok = True
         bruteforce_ok = True
-        maximum = F(-1)
-        argmax_codes = []
+        values = []
         for tree in trees:
             enumerated = list(arr.enumerate_projective(tree))
             if len(enumerated) != arr.count_projective(tree):
@@ -239,11 +239,14 @@ def _cmd_selfcheck(args) -> int:
                 )
                 if brute != len(enumerated):
                     bruteforce_ok = False
-            if closed > maximum:
-                maximum = closed
-                argmax_codes = [canonical_code(tree)]
-            elif closed == maximum:
-                argmax_codes.append(canonical_code(tree))
+            values.append(closed)
+
+        def codes_at(value):
+            return sorted(canonical_code(t) for t, v in zip(trees, values) if v == value)
+
+        maximum = max(values)
+        minimum = min(values)
+        optimum = extrema.min_expected_sum(n, memo)
         star = canonical_code(make_class("star_hub", n))
         report(count_ok, f"n={n}: enumeration length equals the degree-factorial product")
         report(mean_ok, f"n={n}: enumeration mean equals closed form and recurrence")
@@ -251,8 +254,13 @@ def _cmd_selfcheck(args) -> int:
         if n <= 6:
             report(bruteforce_ok, f"n={n}: enumeration count matches the brute-force filter")
         report(
-            maximum == F(n * n - 1, 3) and argmax_codes == [star],
+            maximum == F(n * n - 1, 3) and codes_at(maximum) == [star],
             f"n={n}: hub-rooted star is the unique maximizer",
+        )
+        report(
+            minimum == optimum.value
+            and codes_at(minimum) == sorted(canonical_code(t) for t in optimum.trees),
+            f"n={n}: the minima search returns exactly the minimizers",
         )
     print(f"selfcheck: {'all checks passed' if failures == 0 else f'{failures} checks failed'}")
     return EXIT_OK if failures == 0 else EXIT_VALIDATION

@@ -4,14 +4,18 @@ The maximum has a closed form: the star rooted at its hub attains
 (n^2 - 1) / 3, and for n >= 3 it is the only tree that does.  The minimum
 has no known closed form, so it is found by dynamic programming on the
 optimal-substructure recurrence: a minimal n-vertex tree consists of a
-root of some degree d whose child subtrees are themselves minimal, with
-subtree sizes ranging over the partitions of n - 1 into d parts.  The cost
-of such a composition is
+root whose child subtrees are themselves minimal, with subtree sizes
+forming a partition of n - 1.  The cost of such a composition is
 
-    (d (2n + 1) + n - 1) / 6 + sum of the minima of the parts.
+    (n - 1) / 6 + sum over the parts s of ((2n + 1) / 6 + minimum of size s).
 
-All values are exact fractions with denominator dividing 6, so ties are
-detected exactly and every minimizer (up to isomorphism) is kept.
+A part's cost depends only on its size, so the cheapest multiset of child
+sizes is an unbounded knapsack, solved by a table in O(n^2) steps.  Every
+sub-multiset of an optimal multiset is optimal for its own sum, so one
+walk over the partitions of n - 1 that keeps only parts meeting the table
+finds every optimal multiset.  All values are exact fractions with
+denominator dividing 6, so ties are detected exactly and every minimizer
+(up to isomorphism) is kept.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Sequence
+from typing import Callable, Dict, Iterator, Sequence
 
 from .errors import CapExceeded, OutOfRange
-from .tree import RootedTree, build_tree, canonical_code, make_class
+from .tree import RootedTree, _tree_from_parent, make_class
 from .expectation import expected_sum_projective
 
 DEFAULT_MIN_CAP = 20
@@ -56,34 +60,33 @@ def max_expected_sum(n: int) -> tuple[Fraction, RootedTree]:
     return Fraction(n * n - 1, 3), make_class("star_hub", n)
 
 
-def _partitions(total: int, parts: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``total`` into exactly ``parts`` positive parts,
-    each part at most ``largest``, in non-increasing order."""
-    if largest is None:
-        largest = total
-    if parts == 1:
-        if total <= largest:
-            yield (total,)
+def _partitions(
+    total: int, largest: int, fits: Callable[[int, int], bool] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` into positive parts of at most ``largest``,
+    each in non-increasing order, in reverse-lexicographic order.
+
+    With ``fits``, a part ``s`` is only taken when ``fits(s, rest)`` holds,
+    ``rest`` being what remains of the total after it.
+    """
+    if total == 0:
+        yield ()
         return
-    smallest_first = -(-total // parts)  # ceil: keeps the tail feasible
-    for first in range(min(largest, total - parts + 1), smallest_first - 1, -1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
+    for first in range(min(largest, total), 0, -1):
+        if fits is None or fits(first, total - first):
+            for rest in _partitions(total - first, first, fits):
+                yield (first,) + rest
 
 
 def _attach_root(subtrees: Sequence[RootedTree]) -> RootedTree:
-    """A new tree whose root has the given subtrees as children, in order."""
-    total = 1 + sum(t.n for t in subtrees)
-    links = []
-    offset = 1
+    """A new root 1 above the given subtrees, in order; a subtree's vertex
+    v becomes v plus the count of vertices before that subtree.  Children
+    lists come out ascending."""
+    parent = [0, 0]
     for sub in subtrees:
-        links.append((offset + sub.root, 1))
-        children = sub.children
-        for v in sub.order:
-            for c in children[v]:
-                links.append((offset + c, offset + v))
-        offset += sub.n
-    return build_tree(total, links, 1)
+        offset = len(parent) - 1
+        parent.extend(p + offset if p else 1 for p in sub.parent[1:])
+    return _tree_from_parent(len(parent) - 1, 1, parent)
 
 
 def combine_forests(
@@ -126,10 +129,10 @@ def min_expected_sum(n: int, memo: MemoTable | None = None, cap: int = DEFAULT_M
     """Minimum expected sum over all n-vertex rooted trees, with all minimizers.
 
     Fills ``memo`` bottom-up for every size up to n, so reusing the table
-    across calls costs nothing and smaller entries match fresh runs.  The
-    partition loop prunes a candidate as soon as its partial cost exceeds
-    the incumbent.  ``cap`` bounds n because the number of partitions of
-    n - 1 grows faster than any polynomial.
+    across calls costs nothing and smaller entries match fresh runs.
+    Minimizers come with the fewest root children first.  ``cap`` bounds
+    n: the value table takes O(n^2) steps per size, but every minimizer
+    is built as a tree and their number grows fast (2,653 at n = 120).
     """
     if n < 1:
         raise OutOfRange(f"n must be positive, got {n}")
@@ -144,40 +147,22 @@ def min_expected_sum(n: int, memo: MemoTable | None = None, cap: int = DEFAULT_M
 
 
 def _solve_min(m: int, memo: MemoTable) -> OptimumEntry:
-    if m == 1:
-        return OptimumEntry(1, Fraction(0), (build_tree(1, [], 1),))
-    if m == 2:
-        return OptimumEntry(2, Fraction(1), (build_tree(2, [(2, 1)], 1),))
+    # six times the cost of a root child of size s, and of the cheapest
+    # multiset of child sizes summing to t; exact, as denominators divide 6
+    part6 = [0] + [2 * m + 1 + int(6 * memo[s].value) for s in range(1, m)]
+    best6 = [0] * m
+    for t in range(1, m):
+        best6[t] = min(part6[s] + best6[t - s] for s in range(1, t + 1))
 
-    sixfold = [0] * m  # 6 * minimum per size, exact since denominators divide 6
-    for size in range(1, m):
-        value6 = memo[size].value * 6
-        sixfold[size] = int(value6)
+    def fits(s: int, rest: int) -> bool:
+        return part6[s] + best6[rest] == best6[s + rest]
 
-    best6 = 2 * (m * m - 1)  # start at the maximum, attained by the star
-    best_trees: list[RootedTree] = []
-    best_codes: set[bytes] = set()
-    for d in range(1, m):
-        base6 = d * (2 * m + 1) + m - 1
-        if base6 > best6:
-            break  # grows with d, so no larger degree can win
-        for part in _partitions(m - 1, d):
-            cost6 = base6
-            for size in part:
-                cost6 += sixfold[size]
-                if cost6 > best6:
-                    break
-            else:
-                if cost6 < best6:
-                    best6 = cost6
-                    best_trees = []
-                    best_codes = set()
-                for tree in combine_forests(part, [memo[size].trees for size in part]):
-                    code = canonical_code(tree)
-                    if code not in best_codes:
-                        best_codes.add(code)
-                        best_trees.append(tree)
-    return OptimumEntry(m, Fraction(best6, 6), tuple(best_trees))
+    trees = [
+        tree
+        for part in sorted(_partitions(m - 1, m - 1, fits), key=len)
+        for tree in combine_forests(part, [memo[s].trees for s in part])
+    ]
+    return OptimumEntry(m, Fraction(m - 1 + best6[m - 1], 6), tuple(trees))
 
 
 def enumerate_rooted_trees(n: int, cap: int = DEFAULT_TREE_ENUM_CAP) -> Iterator[RootedTree]:
@@ -187,19 +172,20 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_TREE_ENUM_CAP) -> Iterator
     rooted trees, so the trees of size m are obtained by sweeping the
     partitions of m - 1 and combining previously built subtree lists with
     the duplicate-free forest product.  Distinct partitions give distinct
-    child-size multisets, hence no tree appears twice.
+    child-size multisets, hence no tree appears twice.  Trees come with
+    the fewest root children first.
     """
     if n < 1:
         raise OutOfRange(f"n must be positive, got {n}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the cap of {cap}; raise cap= to override")
-    by_size: dict[int, list[RootedTree]] = {1: [build_tree(1, [], 1)]}
-    for m in range(2, n + 1):
-        collected: list[RootedTree] = []
-        for d in range(1, m):
-            for part in _partitions(m - 1, d):
-                collected.extend(combine_forests(part, [by_size[s] for s in part]))
-        by_size[m] = collected
+    by_size: dict[int, list[RootedTree]] = {}
+    for m in range(1, n + 1):
+        by_size[m] = [
+            tree
+            for part in sorted(_partitions(m - 1, m - 1), key=len)
+            for tree in combine_forests(part, [by_size[s] for s in part])
+        ]
     yield from by_size[n]
 
 

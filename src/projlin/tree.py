@@ -313,8 +313,8 @@ def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTre
 def tree_from_heads(heads: Sequence[int]) -> RootedTree:
     """Build a tree from a head vector (``heads[i]`` is the parent of i+1).
 
-    The last 0 entry marks the root; any other 0 leaves its vertex
-    without a parent, which is reported as Disconnected.
+    The one 0 entry marks the root; a vector with no 0 entry, or with
+    more than one, raises BadRoot.
     """
     head = np.asarray(heads)
     if head.ndim != 1 or (head.size and head.dtype.kind not in "iu"):
@@ -322,8 +322,8 @@ def tree_from_heads(heads: Sequence[int]) -> RootedTree:
     head = head.astype(np.int64)
     n = head.size
     zeros = np.flatnonzero(head == 0)
-    if not zeros.size:
-        raise BadRoot("head vector has no 0 entry")
+    if zeros.size != 1:
+        raise BadRoot(f"a head vector needs exactly one 0 entry (the root), got {zeros.size}")
     bad = (head < 0) | (head > n) | (head == np.arange(1, n + 1))
     if bad.any():
         v = int(np.argmax(bad)) + 1
@@ -331,7 +331,7 @@ def tree_from_heads(heads: Sequence[int]) -> RootedTree:
         if h == v:
             raise CycleDetected(f"vertex {v} is its own parent")
         raise OutOfRange(f"link ({v}, {h}) not within 1..{n}")
-    return _tree_from_parent(n, int(zeros[-1]) + 1, np.concatenate(([0], head)))
+    return _tree_from_parent(n, int(zeros[0]) + 1, np.concatenate(([0], head)))
 
 
 def parse_head_vector(text: str) -> RootedTree:

@@ -10,7 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from projlin import LinearArrangement, RootedTree, build_tree, random_tree
+from projlin import (
+    LinearArrangement,
+    RootedTree,
+    build_tree,
+    canonical_code,
+    combine_forests,
+    random_tree,
+)
 
 
 def all_arrangements(n):
@@ -172,3 +179,56 @@ def oracle_tree_from_heads(heads):
     size = (0,) + tuple(sum(u in chain for chain in ancestors.values()) for u in range(1, n + 1))
     out_degree = tuple(len(c) for c in children)
     return parent, children, tuple(order), size, out_degree
+
+
+def _fixed_part_partitions(total, parts, largest=None):
+    """Partitions of ``total`` into exactly ``parts`` positive parts,
+    each part at most ``largest``, in non-increasing order."""
+    if largest is None:
+        largest = total
+    if parts == 1:
+        if total <= largest:
+            yield (total,)
+        return
+    smallest_first = -(-total // parts)  # ceil: keeps the tail feasible
+    for first in range(min(largest, total - parts + 1), smallest_first - 1, -1):
+        for rest in _fixed_part_partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def oracle_minima(n):
+    """{m: (minimum, minimizers)} for m = 1..n by a pruned sweep.
+
+    Sweeps the root degree d upwards and, for each d, every partition of
+    m - 1 into d parts, dropping a partition once its partial cost passes
+    the incumbent; minimizers are kept up to isomorphism by canonical
+    code, in the order the sweep meets them.
+    """
+    table = {1: (Fraction(0), (build_tree(1, [], 1),)), 2: (Fraction(1), (build_tree(2, [(2, 1)], 1),))}
+    for m in range(3, n + 1):
+        sixfold = [0] + [int(6 * table[size][0]) for size in range(1, m)]
+        best6 = 2 * (m * m - 1)  # the star's value
+        best_trees = []
+        best_codes = set()
+        for d in range(1, m):
+            base6 = d * (2 * m + 1) + m - 1
+            if base6 > best6:
+                break  # grows with d, so no larger degree can win
+            for part in _fixed_part_partitions(m - 1, d):
+                cost6 = base6
+                for size in part:
+                    cost6 += sixfold[size]
+                    if cost6 > best6:
+                        break
+                else:
+                    if cost6 < best6:
+                        best6 = cost6
+                        best_trees = []
+                        best_codes = set()
+                    for tree in combine_forests(part, [table[size][1] for size in part]):
+                        code = canonical_code(tree)
+                        if code not in best_codes:
+                            best_codes.add(code)
+                            best_trees.append(tree)
+        table[m] = (Fraction(best6, 6), tuple(best_trees))
+    return {m: table[m] for m in range(1, n + 1)}

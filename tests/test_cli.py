@@ -105,7 +105,7 @@ def test_env_seed_used_and_overridden(capsys, monkeypatch):
 
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "expected", "--tree", "0 0 1")
-    assert code == EXIT_VALIDATION and err.startswith("Disconnected")
+    assert code == EXIT_VALIDATION and err.startswith("BadRoot")
     code, _, err = run(capsys, "enumerate", "--tree", "0 1 1 1 1 1 1 1", "--cap", "10")
     assert code == EXIT_CAP and err.startswith("CapExceeded")
     code, _, err = run(capsys, "nonsense")

@@ -17,7 +17,7 @@ from projlin import (
     parse_head_vector,
 )
 from projlin.extrema import _partitions, verify_entry
-from helpers import all_labeled_rooted_trees
+from helpers import all_labeled_rooted_trees, oracle_minima
 
 # published minimum values and minimizer counts for sizes 1..20
 MINIMA_TABLE = {
@@ -48,20 +48,21 @@ ROOTED_TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115, 9: 286
 
 
 def test_partitions_generator():
-    assert list(_partitions(4, 2)) == [(3, 1), (2, 2)]
-    assert list(_partitions(5, 1)) == [(5,)]
-    assert list(_partitions(3, 3)) == [(1, 1, 1)]
+    assert list(_partitions(0, 0)) == [()]
+    assert list(_partitions(4, 4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert list(_partitions(5, 2)) == [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
+    counts = []
     for total in range(1, 12):
-        seen = set()
-        for parts in range(1, total + 1):
-            for p in _partitions(total, parts):
-                assert sum(p) == total and len(p) == parts
-                assert all(a >= b for a, b in zip(p, p[1:]))
-                seen.add(p)
-        # p(total) distinct partitions overall
-        from itertools import combinations
-
-        assert len(seen) == len({tuple(sorted(s, reverse=True)) for s in seen})
+        parts = list(_partitions(total, total))
+        for p in parts:
+            assert sum(p) == total
+            assert all(a >= b for a, b in zip(p, p[1:]))
+        assert parts == sorted(set(parts), reverse=True)  # distinct, reverse-lexicographic
+        counts.append(len(parts))
+    assert counts == [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56]  # p(1..11)
+    # ``fits`` vetoes a part by its size and by what remains after it
+    assert list(_partitions(6, 6, lambda s, rest: s % 2 == 0)) == [(6,), (4, 2), (2, 2, 2)]
+    assert list(_partitions(4, 4, lambda s, rest: rest != 2)) == [(4,), (3, 1)]
 
 
 def test_max_expected_examples():
@@ -116,6 +117,14 @@ def test_min_expected_memo_monotonicity():
         assert {canonical_code(t) for t in memo[k].trees} == {
             canonical_code(t) for t in fresh.trees
         }
+
+
+def test_min_expected_matches_the_pruned_sweep_oracle():
+    memo = {}
+    min_expected_sum(40, memo, cap=40)
+    for m, (value, trees) in oracle_minima(40).items():
+        assert memo[m].value == value, f"value mismatch at n={m}"
+        assert [t.head_vector() for t in memo[m].trees] == [t.head_vector() for t in trees]
 
 
 def test_min_expected_cap():
@@ -181,6 +190,8 @@ def test_enumerate_rooted_trees_counts():
     for n, count in ROOTED_TREE_COUNTS.items():
         trees = list(enumerate_rooted_trees(n))
         assert len(trees) == count
+        degrees = [int(t.out_degree_array[t.root]) for t in trees]
+        assert degrees == sorted(degrees)  # fewest root children first
         codes = {canonical_code(t) for t in trees}
         assert len(codes) == count
         assert all(t.n == n for t in trees)

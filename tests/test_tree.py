@@ -75,6 +75,12 @@ def test_head_vectors_must_hold_integers():
             tree_from_heads(heads)
 
 
+def test_head_vectors_need_exactly_one_root():
+    for heads in ([1, 1], [0, 0, 1], [0, 1, 0], [0] * 3 + [1] * 200):
+        with pytest.raises(BadRoot):
+            tree_from_heads(heads)
+
+
 def test_metrics_star_and_chain():
     star = make_class("star_hub", 5)
     m = compute_metrics(star)
