@@ -29,6 +29,10 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 VARIANTS = ("standard", "minus_one")
 
+# Blocks of up to this many segments are ordered by comparing every pair of
+# ranks, larger ones (stars and the like) by a sort of their own rows.
+_PAIRWISE_MAX_SEGMENTS = 8
+
 
 class LinearArrangement:
     """A bijection from vertices 1..n to positions 1..n.
@@ -249,33 +253,46 @@ def _segment_offsets(
     subtree of each child.  Returns ``kids``, every vertex but the root,
     and a (z, 2n - 1) int64 matrix whose column v - 1 holds the offset of
     v's own slot in block v and whose column n + j holds the offset of the
-    subtree of kids[j] in its parent's block.  Sorting the segments by
-    block and then by a uniformly random rank orders every block
-    independently and uniformly; row i takes its ranks from the i-th of z
-    successive ``rng.permutation(2n - 1)`` draws, so a draw does not
-    depend on how many rows are drawn with it.  Exclusive prefix sums of
-    the sorted segment lengths give the offsets.
+    subtree of kids[j] in its parent's block.  Row i gives the segments the
+    ranks of the i-th of z successive ``rng.permutation(2n - 1)`` draws, so
+    a draw does not depend on how many rows are drawn with it.  Ordering
+    each block by rank orders every block independently and uniformly: a
+    segment's offset is the total length of the segments of its own block
+    with smaller ranks.  The blocks of one size are handled together, from
+    the plan in ``tree.blocks``: a leaf's block needs nothing (offset 0),
+    two segments one comparison, up to ``_PAIRWISE_MAX_SEGMENTS`` segments
+    a comparison of every pair, and larger blocks a sort of their own rows.
     """
     n = tree.n
-    parent = tree.parent_array
-    size = tree.size_array
-    kids = np.flatnonzero(parent)
-    m = 2 * n - 1
-    block = np.concatenate((np.arange(1, n + 1), parent[kids]))
-    length = np.concatenate((np.ones(n, dtype=np.int64), size[kids]))
-    keys = rng.permuted(np.arange(m)[None].repeat(z, 0), axis=1)
-    keys += block * m
-    perm = np.argsort(keys, axis=1)
-    del keys  # at most three (z, 2n - 1) arrays live at once
-    placed = length[perm]
-    offset = np.cumsum(placed, axis=1)
-    offset -= placed
-    del placed
-    # Block v holds size[v] positions, so the exclusive prefix sums of its
-    # d_v + 1 segments start at the total size of the blocks before it.
-    offset -= np.repeat(np.cumsum(size[1:]) - size[1:], tree.out_degree_array[1:] + 1)
-    out = np.empty_like(offset)
-    out[np.arange(z)[:, None], perm] = offset
+    kids = np.flatnonzero(tree.parent_array)
+    length = np.ones(2 * n - 1, dtype=np.int64)
+    length[n:] = tree.size_array[kids]
+    ranks = np.arange(2 * n - 1)[None].repeat(z, 0)
+    rng.permuted(ranks, axis=1, out=ranks)
+    out = np.zeros(ranks.shape, dtype=np.int64)
+    for segments in tree.blocks:
+        rank = ranks[:, segments]  # (z, blocks, segments per block)
+        k = segments.shape[1]
+        if k == 2:
+            # the vertex's own slot (length 1) and its one child's subtree
+            own, child = segments.T
+            own_later = rank[..., 0] > rank[..., 1]
+            out[:, own] = own_later * length[child]
+            out[:, child] = ~own_later
+            continue
+        lengths = length[segments]
+        if k <= _PAIRWISE_MAX_SEGMENTS:
+            # earlier[..., i, j]: segment j precedes segment i in its block
+            earlier = rank[..., None, :] < rank[..., :, None]
+            offset = np.einsum("zbij,bj->zbi", earlier, lengths)
+        else:
+            order = np.argsort(rank, axis=2)
+            placed = np.take_along_axis(np.broadcast_to(lengths, rank.shape), order, axis=2)
+            before = np.cumsum(placed, axis=2)
+            before -= placed
+            offset = np.empty_like(before)
+            np.put_along_axis(offset, order, before, axis=2)
+        out[:, segments] = offset
     return kids, out
 
 

@@ -27,6 +27,9 @@ from .tree import RootedTree
 # Keep each sampled offset matrix around 32 MB regardless of tree size.
 _CHUNK_CELLS = 4_000_000
 
+# Keep each block of bootstrap indices around 8 MB regardless of group size.
+_BOOTSTRAP_CELLS = 1_000_000
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -53,8 +56,10 @@ class ErrorStats:
 def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     """Mean total edge length over z uniform projective samples.
 
-    Deterministic given the seed; cost O(z n log n), one sort of the 2n - 1
-    segments per sample.  The per-sample sums are integers, so the
+    Deterministic given the seed.  A sample costs O(n) for the blocks of
+    up to ``arrangement._PAIRWISE_MAX_SEGMENTS`` segments, which compare
+    their segments' ranks pairwise, plus O(k log k) to sort each larger
+    block of k segments.  The per-sample sums are integers, so the
     accumulation is exact and only the final division produces a float.
     """
     if z < 1:
@@ -103,7 +108,9 @@ def aggregate_errors(
 
     The confidence interval of the mean is a seeded percentile bootstrap
     with the given number of resamples; a single record yields the
-    degenerate interval at its own value.
+    degenerate interval at its own value.  The resample indices are drawn
+    in blocks of rows of about ``_BOOTSTRAP_CELLS`` cells, so memory stays
+    bounded however many records share one size.
     """
     grouped: dict[int, list[float]] = {}
     for n, err in records:
@@ -117,8 +124,13 @@ def aggregate_errors(
     for n in sorted(grouped):
         data = np.asarray(grouped[n], dtype=np.float64)
         rng = np.random.default_rng([seed, n])
-        indices = rng.integers(0, data.size, size=(resamples, data.size))
-        means = data[indices].mean(axis=1)
+        # Rows drawn a block at a time are the rows one (resamples, size)
+        # draw would give, so the block size does not change the interval.
+        rows = max(1, _BOOTSTRAP_CELLS // data.size)
+        means = np.empty(resamples)
+        for start in range(0, resamples, rows):
+            indices = rng.integers(0, data.size, size=(min(rows, resamples - start), data.size))
+            means[start : start + rows] = data[indices].mean(axis=1)
         low, high = np.percentile(means, [tail, 100 - tail])
         out.append(
             ErrorStats(

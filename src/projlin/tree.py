@@ -3,9 +3,10 @@
 A rooted tree is stored as three numpy arrays, computed once when it is
 built: the parent of every vertex, the size of every subtree and every
 out-degree.  The tuple views that Python loops read (parents, children
-lists in link order, breadth-first order) are built on first use and
-cached.  Vertex ids and arrangement positions share the same 1-based
-range, so head vectors and CoNLL-U token ids line up without translation.
+lists in link order, breadth-first order) and the block plan the
+projective sampler reads are built on first use and cached.  Vertex ids
+and arrangement positions share the same 1-based range, so head vectors
+and CoNLL-U token ids line up without translation.
 
 Every constructor ends in one core that validates a parent array and
 computes the subtree sizes.  Below ``_DOUBLING_MIN_N`` vertices it runs a
@@ -71,6 +72,8 @@ class RootedTree:
         children: ``children[v]`` is the tuple of children of ``v`` in the
             order their links were given (ascending for head vectors).
         order: all vertices in breadth-first order from the root.
+        blocks: the segment ids of every block of two or more segments,
+            grouped by size (see :func:`_block_plan`).
     """
 
     __slots__ = (
@@ -83,6 +86,7 @@ class RootedTree:
         "_parent",
         "_children",
         "_order",
+        "_blocks",
     )
 
     def __init__(
@@ -99,6 +103,7 @@ class RootedTree:
         self._parent = None
         self._children = children
         self._order = order
+        self._blocks = None
 
     @property
     def parent(self) -> tuple[int, ...]:
@@ -126,6 +131,12 @@ class RootedTree:
         if self._order is None:
             self._order = _bfs_order(self.root, self.children)
         return self._order
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        if self._blocks is None:
+            self._blocks = _block_plan(self.n, self.parent_array, self.out_degree_array)
+        return self._blocks
 
     def head_vector(self) -> str:
         """Serialize as whitespace-separated parent ids, 0 for the root."""
@@ -184,6 +195,47 @@ def _bfs_order(root: int, children) -> tuple[int, ...]:
     for v in order:  # the loop also visits the vertices appended here
         order.extend(children[v])
     return tuple(order)
+
+
+def _block_plan(n: int, parent: np.ndarray, out_degree: np.ndarray):
+    """The segments of every block, grouped by out-degree, for the sampler.
+
+    Vertex v's block holds d_v + 1 segments: v's own slot and the subtree
+    of each child.  Segment v - 1 is v's own slot and segment n + j the
+    subtree of ``kids[j]``, the j-th non-root vertex in ascending order.
+    Returns one read-only int32 (g, d + 1) array per out-degree d >= 1
+    present, in ascending d: row i lists the segments of the block of the
+    i-th vertex of out-degree d, its own slot first.  Leaves, whose one
+    segment always sits at offset 0, are left out.  One sort of the links
+    by (parent's out-degree, parent) lists every block's children together
+    and the blocks of one out-degree together; a ``bincount`` of the
+    out-degrees sizes the groups.  int32 ids halve the memory the cached
+    plan holds; they cover trees of up to 2^30 vertices.
+    """
+    vertices_per_degree = np.bincount(out_degree[1:])
+    vertices_per_degree[0] = 0  # leaves get no group
+    # Every group is a view of one buffer, allocated before the sort's
+    # temporaries so that the cached plan does not pin them in the heap.
+    flat = np.empty(n - 1 + np.count_nonzero(out_degree), dtype=np.int32)
+    heads = parent[parent != 0]  # the parent of kids[j], for every j
+    key = out_degree[heads]
+    key *= n + 1
+    key += heads
+    order = np.argsort(key)
+    del key
+    plan = []
+    link = cell = 0
+    for d in np.flatnonzero(vertices_per_degree).tolist():
+        g = int(vertices_per_degree[d])
+        links = order[link : link + g * d].reshape(g, d)
+        segments = flat[cell : cell + g * (d + 1)].reshape(g, d + 1)
+        link += g * d
+        cell += g * (d + 1)
+        np.subtract(heads[links[:, 0]], 1, out=segments[:, 0])
+        np.add(links, n, out=segments[:, 1:])
+        segments.flags.writeable = False
+        plan.append(segments)
+    return tuple(plan)
 
 
 def _python_kernel(n: int, root: int, parent: list[int], link_order):

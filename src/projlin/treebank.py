@@ -18,7 +18,6 @@ can be spread over a process pool.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -236,6 +235,10 @@ def analyze_treebank(
 
     payloads = [(i, sentence, z_values, seed) for i, sentence in enumerate(accepted)]
     if jobs > 1 and len(payloads) > 1:
+        # imported here: concurrent.futures brings in multiprocessing,
+        # logging, socket and more, which a one-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             analyses = tuple(pool.map(_analyze_one, payloads, chunksize=16))
     else:

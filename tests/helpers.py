@@ -17,6 +17,7 @@ from projlin import (
     canonical_code,
     combine_forests,
     random_tree,
+    tree_from_heads,
 )
 
 
@@ -144,6 +145,18 @@ def random_tree_corpus(count, n_low, n_high, seed):
     return corpus
 
 
+def caterpillar(spine, legs):
+    """A path of ``spine`` vertices rooted at one end, ``legs`` leaves on each."""
+    heads = [0] + list(range(1, spine))
+    heads += [v for v in range(1, spine + 1) for _ in range(legs)]
+    return tree_from_heads(heads)
+
+
+def broom(handle, bristles):
+    """A path of ``handle`` vertices rooted at one end, ``bristles`` leaves on the other."""
+    return tree_from_heads([0] + list(range(1, handle)) + [handle] * bristles)
+
+
 def oracle_tree_from_heads(heads):
     """Views of the tree a head vector describes, or None if it is no tree.
 
@@ -232,3 +245,32 @@ def oracle_minima(n):
                             best_trees.append(tree)
         table[m] = (Fraction(best6, 6), tuple(best_trees))
     return {m: table[m] for m in range(1, n + 1)}
+
+
+def oracle_segment_offsets(tree, z, rng):
+    """The projective sampler's segment offsets by one sort of all segments.
+
+    Draws the same ranks as ``arrangement._segment_offsets`` (z rows of a
+    random permutation of the 2n - 1 segments), sorts each row by block and
+    then by rank, takes exclusive prefix sums of the sorted lengths and
+    shifts each block back to start at 0.  Returns the same ``(kids,
+    offsets)`` pair, so equal generator states must give equal matrices.
+    """
+    n = tree.n
+    parent = tree.parent_array
+    size = tree.size_array
+    kids = np.flatnonzero(parent)
+    m = 2 * n - 1
+    block = np.concatenate((np.arange(1, n + 1), parent[kids]))
+    length = np.concatenate((np.ones(n, dtype=np.int64), size[kids]))
+    keys = rng.permuted(np.arange(m)[None].repeat(z, 0), axis=1)
+    keys += block * m
+    perm = np.argsort(keys, axis=1)
+    placed = length[perm]
+    offset = np.cumsum(placed, axis=1) - placed
+    # Block v holds size[v] positions, so the exclusive prefix sums of its
+    # d_v + 1 segments start at the total size of the blocks before it.
+    offset -= np.repeat(np.cumsum(size[1:]) - size[1:], tree.out_degree_array[1:] + 1)
+    out = np.empty_like(offset)
+    out[np.arange(z)[:, None], perm] = offset
+    return kids, out

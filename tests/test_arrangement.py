@@ -21,12 +21,16 @@ from projlin import (
     sample_projective,
     sum_edge_lengths,
 )
+from projlin import arrangement
 from helpers import (
     all_arrangements,
+    broom,
     brute_projective_arrangements,
+    caterpillar,
     oracle_edge_sum,
     oracle_is_planar,
     oracle_is_projective,
+    oracle_segment_offsets,
 )
 
 CHAIN3 = parse_head_vector("0 1 2")
@@ -247,3 +251,25 @@ def test_sampler_uniform_on_eight_vertex_tree():
     assert counts.sum() == 43200
     result = stats.chisquare(counts)
     assert result.pvalue > 1e-3
+
+
+@pytest.mark.parametrize("z", [1, 3, 100])
+def test_segment_offsets_match_the_sorting_oracle(z):
+    # from equal generator states the per-block kernel and one sort of all
+    # segments by (block, rank) give the same offsets, on shapes that run
+    # every branch: two segments, pairwise ranks, and a sort past the cut-off
+    rng = np.random.default_rng(2718)
+    trees = [random_tree(int(rng.integers(2, 61)), rng) for _ in range(60)]
+    trees += [make_class("linear_k", n, k) for n, k in ((2, 0), (3, 1), (17, 0), (60, 29))]
+    trees += [make_class("star_hub", leaves + 1) for leaves in range(1, 61)]
+    trees += [caterpillar(spine, legs) for spine, legs in ((1, 1), (5, 1), (4, 3), (6, 7), (3, 12))]
+    trees += [broom(handle, bristles) for handle, bristles in ((2, 2), (10, 7), (5, 8), (4, 30))]
+    sizes = {segments.shape[1] for tree in trees for segments in tree.blocks}
+    cut = arrangement._PAIRWISE_MAX_SEGMENTS
+    assert 2 in sizes and sizes & set(range(3, cut + 1)) and max(sizes) > cut
+    for tree in trees:
+        seed = int(rng.integers(2**32))
+        kids, offsets = arrangement._segment_offsets(tree, z, np.random.default_rng(seed))
+        oracle_kids, oracle_offsets = oracle_segment_offsets(tree, z, np.random.default_rng(seed))
+        assert np.array_equal(kids, oracle_kids)
+        assert offsets.dtype == np.int64 and np.array_equal(offsets, oracle_offsets), tree

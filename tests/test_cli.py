@@ -3,10 +3,12 @@
 import csv
 import math
 import os
+import subprocess
 import sys
 
 import pytest
 
+import projlin
 from projlin.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, format_rational, main
 from fractions import Fraction
 
@@ -243,3 +245,16 @@ def test_negative_decimal_digits(capsys):
     assert code == EXIT_VALIDATION and err.startswith("OutOfRange") and out == ""
     code, out, err = run(capsys, "classes", "--class", "star_hub", "--n", "5", "--decimal", "-1")
     assert code == EXIT_VALIDATION and err.startswith("OutOfRange") and out == ""
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # concurrent.futures (multiprocessing, logging, socket, ...) is only
+    # imported by a run with --jobs above 1
+    source = os.path.dirname(os.path.dirname(projlin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, projlin.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -23,6 +23,7 @@ from projlin import (
     sum_edge_lengths,
 )
 from projlin import montecarlo
+from helpers import caterpillar
 
 
 def test_estimate_trivial_trees():
@@ -91,6 +92,23 @@ def test_estimate_is_the_mean_of_sampler_draws(monkeypatch, chunk_rows):
         assert estimate_expected_sum(t, z, seed).mean == total / z
 
 
+@pytest.mark.parametrize("chunk_rows", [None, 3], ids=["one_chunk", "several_chunks"])
+def test_estimate_is_the_mean_of_sampler_draws_on_stars_and_caterpillars(monkeypatch, chunk_rows):
+    # the same identity on blocks of many segments, which the random trees
+    # above rarely have: stars up to 60 leaves, caterpillars with many legs
+    rng = np.random.default_rng(405)
+    trees = [make_class("star_hub", leaves + 1) for leaves in (1, 2, 5, 7, 8, 9, 20, 60)]
+    trees += [caterpillar(spine, legs) for spine, legs in ((3, 2), (4, 6), (5, 7), (2, 9), (6, 15))]
+    for t in trees:
+        z = int(rng.integers(1, 31))
+        seed = int(rng.integers(2**32))
+        if chunk_rows:
+            monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", chunk_rows * (2 * t.n - 1))
+        draws = np.random.default_rng(seed)
+        total = sum(sum_edge_lengths(t, sample_projective(t, draws)) for _ in range(z))
+        assert estimate_expected_sum(t, z, seed).mean == total / z
+
+
 def test_estimate_converges_on_random_trees():
     rng = np.random.default_rng(6)
     for _ in range(10):
@@ -139,6 +157,18 @@ def test_aggregate_groups_and_determinism():
     assert first[0].samples == 2 and first[1].samples == 3
     with pytest.raises(ValueError):
         aggregate_errors([])
+
+
+@pytest.mark.parametrize("cells", [1, 7, 250])
+def test_bootstrap_blocks_do_not_change_the_interval(monkeypatch, cells):
+    # a cell budget that splits the (resamples, size) index matrix into
+    # blocks of rows, down to one row a block, gives the same statistics
+    rng = np.random.default_rng(8)
+    records = [(int(n), float(e)) for n, e in zip(rng.integers(3, 9, 400), rng.normal(0, 0.1, 400))]
+    records += [(40, 0.25)]
+    whole = aggregate_errors(records, resamples=301, seed=3)
+    monkeypatch.setattr(montecarlo, "_BOOTSTRAP_CELLS", cells)
+    assert aggregate_errors(records, resamples=301, seed=3) == whole
 
 
 def test_bootstrap_coverage():
