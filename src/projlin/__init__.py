@@ -33,9 +33,6 @@ from .errors import (
 from .expectation import (
     class_formula,
     edge_length_probability,
-    expected_anchor_length,
-    expected_coanchor_length,
-    expected_root_edge_length,
     expected_sum_projective,
     expected_sum_unconstrained,
 )
@@ -58,10 +55,8 @@ from .montecarlo import (
 from .tree import (
     TREE_CLASSES,
     RootedTree,
-    SubtreeMetrics,
     build_tree,
     canonical_code,
-    compute_metrics,
     make_class,
     parse_head_vector,
     random_tree,
@@ -101,7 +96,6 @@ __all__ = [
     "SentenceAnalysis",
     "SizeMismatch",
     "SkipRecord",
-    "SubtreeMetrics",
     "Token",
     "TreebankReport",
     "TreebankSentence",
@@ -115,15 +109,11 @@ __all__ = [
     "canonical_code",
     "class_formula",
     "combine_forests",
-    "compute_metrics",
     "count_projective",
     "edge_length_probability",
     "enumerate_projective",
     "enumerate_rooted_trees",
     "estimate_expected_sum",
-    "expected_anchor_length",
-    "expected_coanchor_length",
-    "expected_root_edge_length",
     "expected_sum_projective",
     "expected_sum_unconstrained",
     "is_planar",

@@ -90,11 +90,6 @@ class LinearArrangement:
     def n(self) -> int:
         return len(self.pos) - 1
 
-    def reversed(self) -> "LinearArrangement":
-        """The mirror arrangement, vertex at position p moved to n + 1 - p."""
-        n = self.n
-        return LinearArrangement(n + 1 - self.pos[v] for v in range(1, n + 1))
-
     def __eq__(self, other):
         if not isinstance(other, LinearArrangement):
             return NotImplemented

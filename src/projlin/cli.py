@@ -10,7 +10,8 @@ arguments, formats values, and maps errors to exit codes:
 
 Subcommands: expected, count, enumerate, sample, classes, minima, maxima,
 analyze, selfcheck.  Seeds default to the PROJLIN_SEED environment
-variable when a --seed flag is not given.
+variable when a --seed flag is not given; either way they must be
+non-negative integers.
 """
 
 from __future__ import annotations
@@ -89,15 +90,18 @@ def _tree_from_args(args):
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PROJLIN_SEED")
-    if env is not None:
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env = os.environ.get("PROJLIN_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "PROJLIN_SEED"
         except ValueError:
             raise ProjlinError(f"PROJLIN_SEED is not an integer: {env!r}") from None
-    return 0
+    if seed < 0:
+        raise OutOfRange(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _add_tree_options(parser):
@@ -106,9 +110,7 @@ def _add_tree_options(parser):
 
 
 def _cmd_expected(args) -> int:
-    tree = _tree_from_args(args)
-    method = "closed_form" if args.method == "closed" else "recurrence"
-    value = expe.expected_sum_projective(tree, args.variant, method)
+    value = expe.expected_sum_projective(_tree_from_args(args), args.variant)
     print(format_rational(value, args.decimal))
     return EXIT_OK
 
@@ -227,9 +229,8 @@ def _cmd_selfcheck(args) -> int:
                 projective_ok = False
             total = sum(arr.sum_edge_lengths(tree, a) for a in enumerated)
             exact = F(total, len(enumerated))
-            closed = expe.expected_sum_projective(tree, method="closed_form")
-            recur = expe.expected_sum_projective(tree, method="recurrence")
-            if not exact == closed == recur:
+            closed = expe.expected_sum_projective(tree)
+            if exact != closed:
                 mean_ok = False
             if n <= 6:
                 brute = sum(
@@ -249,7 +250,7 @@ def _cmd_selfcheck(args) -> int:
         optimum = extrema.min_expected_sum(n, memo)
         star = canonical_code(make_class("star_hub", n))
         report(count_ok, f"n={n}: enumeration length equals the degree-factorial product")
-        report(mean_ok, f"n={n}: enumeration mean equals closed form and recurrence")
+        report(mean_ok, f"n={n}: enumeration mean equals the closed form")
         report(projective_ok, f"n={n}: every enumerated arrangement is projective")
         if n <= 6:
             report(bruteforce_ok, f"n={n}: enumeration count matches the brute-force filter")
@@ -273,7 +274,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("expected", parents=[], help="exact expected edge-length sum")
     _add_tree_options(p)
     p.add_argument("--variant", choices=["standard", "minus_one"], default="standard")
-    p.add_argument("--method", choices=["closed", "recurrence"], default="closed")
     p.add_argument("--decimal", type=int, default=None, metavar="DIGITS")
     p.set_defaults(func=_cmd_expected)
 

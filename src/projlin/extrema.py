@@ -2,10 +2,10 @@
 
 The maximum has a closed form: the star rooted at its hub attains
 (n^2 - 1) / 3, and for n >= 3 it is the only tree that does.  The minimum
-has no known closed form, so it is found by dynamic programming on the
-optimal-substructure recurrence: a minimal n-vertex tree consists of a
-root whose child subtrees are themselves minimal, with subtree sizes
-forming a partition of n - 1.  The cost of such a composition is
+has no known closed form, so it is found by dynamic programming on its
+optimal substructure: a minimal n-vertex tree consists of a root whose
+child subtrees are themselves minimal, with subtree sizes forming a
+partition of n - 1.  The cost of such a composition is
 
     (n - 1) / 6 + sum over the parts s of ((2n + 1) / 6 + minimum of size s).
 
@@ -27,7 +27,6 @@ from typing import Callable, Dict, Iterator, Sequence
 
 from .errors import CapExceeded, OutOfRange
 from .tree import RootedTree, _tree_from_parent, make_class
-from .expectation import expected_sum_projective
 
 DEFAULT_MIN_CAP = 20
 DEFAULT_TREE_ENUM_CAP = 10
@@ -187,8 +186,3 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_TREE_ENUM_CAP) -> Iterator
             for tree in combine_forests(part, [by_size[s] for s in part])
         ]
     yield from by_size[n]
-
-
-def verify_entry(entry: OptimumEntry) -> bool:
-    """Recompute the expectation of every stored minimizer independently."""
-    return all(expected_sum_projective(tree) == entry.value for tree in entry.trees)

@@ -22,7 +22,6 @@ unlabeled-isomorphism tests, and uniform random labeled trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -142,10 +141,6 @@ class RootedTree:
         """Serialize as whitespace-separated parent ids, 0 for the root."""
         return " ".join(map(str, self.parent_array[1:].tolist()))
 
-    def heads(self) -> tuple[int, ...]:
-        """Parent id per vertex (0 for the root), as a tuple."""
-        return self.parent[1:]
-
     def subtree(self, v: int) -> "RootedTree":
         """Extract the subtree rooted at ``v`` as a tree of its own.
 
@@ -180,14 +175,6 @@ class RootedTree:
         if self.n <= 16:
             return f"RootedTree({self.head_vector()!r})"
         return f"RootedTree(n={self.n}, root={self.root})"
-
-
-@dataclass(frozen=True)
-class SubtreeMetrics:
-    """Per-vertex subtree sizes and out-degrees (index 0 unused)."""
-
-    size: tuple[int, ...]
-    out_degree: tuple[int, ...]
 
 
 def _bfs_order(root: int, children) -> tuple[int, ...]:
@@ -399,11 +386,6 @@ def parse_head_vector(text: str) -> RootedTree:
     return tree_from_heads(heads)
 
 
-def compute_metrics(tree: RootedTree) -> SubtreeMetrics:
-    """Subtree size and out-degree per vertex, as tuples of ints."""
-    return SubtreeMetrics(tuple(tree.size_array.tolist()), tuple(tree.out_degree_array.tolist()))
-
-
 def canonical_code(tree: RootedTree) -> bytes:
     """AHU-style canonical code of the unlabeled rooted tree.
 
@@ -422,6 +404,29 @@ def canonical_code(tree: RootedTree) -> bytes:
     return codes[tree.root]
 
 
+def _check_class_args(tree_class: str, n: int, k: int | None) -> int | None:
+    """Validate the arguments of a named tree class; return ``k`` normalized.
+
+    Raises ValueError for an unknown class and UnsupportedSize for a size
+    the class does not have.  For ``linear_k``, ``k`` defaults to 0 and
+    becomes ``min(k, n - 1 - k)``; other classes ignore it.
+    """
+    if tree_class not in TREE_CLASSES:
+        raise ValueError(f"unknown tree class {tree_class!r}")
+    if n < 1:
+        raise UnsupportedSize(f"n must be positive, got {n}")
+    if tree_class == "star_leaf" and n < 2:
+        raise UnsupportedSize("star_leaf needs n >= 2")
+    if tree_class == "linear_k":
+        k = 0 if k is None else k
+        if not 0 <= k <= n - 1:
+            raise UnsupportedSize(f"linear_k needs 0 <= k <= {n - 1}, got {k}")
+        return min(k, n - 1 - k)
+    if tree_class.startswith("qstar_") and n < 4:
+        raise UnsupportedSize(f"quasi-star classes need n >= 4, got {n}")
+    return k
+
+
 def make_class(tree_class: str, n: int, k: int | None = None) -> RootedTree:
     """Construct one of the named tree classes.
 
@@ -433,30 +438,17 @@ def make_class(tree_class: str, n: int, k: int | None = None) -> RootedTree:
     ``k`` from one end.  ``k`` is normalized to ``min(k, n - 1 - k)`` since
     the two rootings are isomorphic.
     """
-    if tree_class not in TREE_CLASSES:
-        raise ValueError(f"unknown tree class {tree_class!r}")
-    if n < 1:
-        raise UnsupportedSize(f"n must be positive, got {n}")
-
+    k = _check_class_args(tree_class, n, k)
     if tree_class == "star_hub":
         return build_tree(n, [(i, 1) for i in range(2, n + 1)], 1)
     if tree_class == "star_leaf":
-        if n < 2:
-            raise UnsupportedSize("star_leaf needs n >= 2")
         links = [(2, 1)] + [(i, 2) for i in range(3, n + 1)]
         return build_tree(n, links, 1)
     if tree_class == "linear_k":
-        k = 0 if k is None else k
-        if not 0 <= k <= n - 1:
-            raise UnsupportedSize(f"linear_k needs 0 <= k <= {n - 1}, got {k}")
-        k = min(k, n - 1 - k)
         root = k + 1
         links = [(i, i + 1) for i in range(root - 1, 0, -1)]
         links += [(i, i - 1) for i in range(root + 1, n + 1)]
         return build_tree(n, links, root)
-
-    if n < 4:
-        raise UnsupportedSize(f"quasi-star classes need n >= 4, got {n}")
     if tree_class == "qstar_hub":
         # root 1 = hub, 2 = internal vertex, 3 = far leaf, rest hub leaves
         links = [(2, 1), (3, 2)] + [(i, 1) for i in range(4, n + 1)]

@@ -1,8 +1,8 @@
 """CoNLL-U ingestion and the per-sentence analysis pipeline.
 
 The parser turns each sentence into a rooted tree over its word tokens
-(multiword ranges and empty nodes are dropped, ids compacted to 1..n) plus
-the observed arrangement, which is simply the surface token order.
+(multiword ranges and empty nodes are dropped, ids compacted to 1..n), so
+the surface token order is the identity arrangement of that tree.
 Sentences that do not form a valid tree are reported as skip records with
 a reason instead of aborting the stream, since real treebanks contain
 annotation errors.
@@ -40,12 +40,11 @@ class Token(NamedTuple):
 
 @dataclass(frozen=True)
 class TreebankSentence:
-    """One parsed sentence: tokens with compacted ids, tree, surface order."""
+    """One parsed sentence: tokens with compacted ids (in surface order) and tree."""
 
     sentence_id: str
     tokens: tuple[Token, ...]
     tree: RootedTree
-    observed: LinearArrangement
 
 
 @dataclass(frozen=True)
@@ -112,12 +111,7 @@ def _finish_sentence(
         tree = build_tree(len(tokens), links, remap[roots[0]])
     except ProjlinError as exc:
         return SkipRecord(sentence_id, type(exc).__name__)
-    return TreebankSentence(
-        sentence_id,
-        tuple(compacted),
-        tree,
-        LinearArrangement.identity(len(tokens)),
-    )
+    return TreebankSentence(sentence_id, tuple(compacted), tree)
 
 
 def parse_conllu(
@@ -189,7 +183,8 @@ def _analyze_one(
     index, sentence, z_values, seed = payload
     tree = sentence.tree
     n = tree.n
-    observed = sentence.observed
+    surface = LinearArrangement.identity(n)
+    observed = sum_edge_lengths(tree, surface)
     exact = expected_sum_projective(tree)
     estimates = []
     for which, z in enumerate(z_values):
@@ -199,9 +194,9 @@ def _analyze_one(
     return SentenceAnalysis(
         sentence_id=sentence.sentence_id,
         n=n,
-        observed_standard=sum_edge_lengths(tree, observed, "standard"),
-        observed_minus_one=sum_edge_lengths(tree, observed, "minus_one"),
-        projective=is_projective(tree, observed),
+        observed_standard=observed,
+        observed_minus_one=observed - (n - 1),
+        projective=is_projective(tree, surface),
         arrangement_count=count_projective(tree),
         exact=exact,
         estimates=tuple(estimates),

@@ -82,6 +82,41 @@ def brute_mean_projective(tree):
     return Fraction(total, count)
 
 
+def oracle_anchor_length(subtree_size):
+    """Expected span of a root-to-child edge inside the child's segment."""
+    return Fraction(subtree_size + 1, 2)
+
+
+def oracle_coanchor_length(n, subtree_size):
+    """Expected span of a root-to-child edge across intermediate segments."""
+    return Fraction(n - subtree_size - 1, 3)
+
+
+def oracle_root_edge_length(n, subtree_size):
+    """Expected length of a root-to-child edge: (2n + n_u + 1) / 6."""
+    return oracle_anchor_length(subtree_size) + oracle_coanchor_length(n, subtree_size)
+
+
+def oracle_recurrence_expectation(tree, variant="standard"):
+    """Projective expectation by the bottom-up recurrence over subtrees.
+
+    A subtree rooted at v sits in a uniform projective arrangement of its
+    own, so its expectation is that of each child's subtree plus, per
+    child u, the expected length of the edge (v, u) in a tree of n_v
+    vertices.  Subtree sizes are counted here, not read from the tree.
+    """
+    size = [1] * (tree.n + 1)
+    acc = [Fraction(0)] * (tree.n + 1)
+    for v in reversed(tree.order):
+        for u in tree.children[v]:
+            size[v] += size[u]
+        for u in tree.children[v]:
+            acc[v] += oracle_root_edge_length(size[v], size[u]) + acc[u]
+    if variant == "minus_one":
+        return acc[tree.root] - (tree.n - 1)
+    return acc[tree.root]
+
+
 def tree_from_pruefer(sequence, n, root):
     """Labeled tree decoded from a Pruefer sequence, rooted at ``root``."""
     degree = [1] * (n + 1)

@@ -212,7 +212,7 @@ def test_reversal_symmetry():
     for _ in range(30):
         t = random_tree(int(rng.integers(2, 25)), rng)
         a = sample_projective(t, rng)
-        r = a.reversed()
+        r = LinearArrangement.from_inverse(a.inverse[:0:-1])
         assert sum_edge_lengths(t, r) == sum_edge_lengths(t, a)
         assert is_projective(t, r) == is_projective(t, a)
 

@@ -33,10 +33,11 @@ def test_expected_star(capsys):
 
 
 def test_expected_variants_and_methods(capsys):
-    code, out, _ = run(
-        capsys, "expected", "--tree", "0 1 2 3 4", "--variant", "minus_one", "--method", "recurrence"
-    )
+    code, out, _ = run(capsys, "expected", "--tree", "0 1 2 3 4", "--variant", "minus_one")
     assert code == EXIT_OK and out == "3\n"
+    # the closed form is the only method, and there is no option to pick one
+    code, out, _ = run(capsys, "expected", "--tree", "0 1 2 3 4", "--method", "closed")
+    assert code == EXIT_USAGE and out == ""
     code, out, _ = run(capsys, "expected", "--tree", "0 1 1", "--decimal", "4")
     assert code == EXIT_OK and out == "2.6667\n"
 
@@ -103,6 +104,26 @@ def test_env_seed_used_and_overridden(capsys, monkeypatch):
     monkeypatch.setenv("PROJLIN_SEED", "not-a-number")
     code, _, err = run(capsys, "sample", "--tree", "0 1 1 2", "--z", "1")
     assert code == EXIT_VALIDATION and "PROJLIN_SEED" in err
+
+
+def test_negative_seeds_are_out_of_range(tmp_path, capsys, monkeypatch):
+    for extra in ([], ["--mean", "--z", "3"]):
+        code, out, err = run(capsys, "sample", "--tree", "0 1 1", "--seed", "-1", *extra)
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.startswith("OutOfRange") and "--seed" in err
+    monkeypatch.setenv("PROJLIN_SEED", "-3")
+    code, out, err = run(capsys, "sample", "--tree", "0 1 1")
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.startswith("OutOfRange") and "PROJLIN_SEED" in err
+    monkeypatch.delenv("PROJLIN_SEED")
+    corpus = tmp_path / "one.conllu"
+    corpus.write_text("1\tw1\t_\tX\t_\t_\t0\t_\t_\t_\n\n", encoding="utf-8")
+    prefix = tmp_path / "out"
+    code, out, err = run(
+        capsys, "analyze", "--input", str(corpus), "--seed", "-1", "--out-prefix", str(prefix)
+    )
+    assert code == EXIT_VALIDATION and out == "" and err.startswith("OutOfRange")
+    assert not (tmp_path / "out.sentences.csv").exists()
 
 
 def test_exit_codes(capsys):

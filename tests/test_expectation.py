@@ -14,16 +14,20 @@ from projlin import (
     class_formula,
     count_projective,
     edge_length_probability,
-    expected_anchor_length,
-    expected_coanchor_length,
-    expected_root_edge_length,
     expected_sum_projective,
     expected_sum_unconstrained,
     make_class,
     parse_head_vector,
     random_tree,
 )
-from helpers import brute_mean_projective, all_labeled_rooted_trees
+from helpers import (
+    all_labeled_rooted_trees,
+    brute_mean_projective,
+    oracle_anchor_length,
+    oracle_coanchor_length,
+    oracle_recurrence_expectation,
+    oracle_root_edge_length,
+)
 
 
 def test_unconstrained_values():
@@ -64,21 +68,17 @@ def test_edge_length_distribution_matches_enumeration():
 
 
 def test_anchor_and_coanchor_values():
-    assert expected_anchor_length(1) == 1
-    assert expected_anchor_length(3) == 2
-    assert expected_anchor_length(8) == Fraction(9, 2)
-    assert expected_coanchor_length(2, 1) == 0
-    assert expected_coanchor_length(5, 1) == 1
-    with pytest.raises(OutOfRange):
-        expected_coanchor_length(5, 5)
-    with pytest.raises(OutOfRange):
-        expected_anchor_length(0)
+    assert oracle_anchor_length(1) == 1
+    assert oracle_anchor_length(3) == 2
+    assert oracle_anchor_length(8) == Fraction(9, 2)
+    assert oracle_coanchor_length(2, 1) == 0
+    assert oracle_coanchor_length(5, 1) == 1
 
 
 def test_root_edge_length_consistent_with_star():
     # each of the 3 edges of the hub-rooted star on 4 vertices has a
     # single-vertex subtree below it
-    per_edge = expected_root_edge_length(4, 1)
+    per_edge = oracle_root_edge_length(4, 1)
     assert per_edge == Fraction(2 * 4 + 1 + 1, 6)
     assert 3 * per_edge == expected_sum_projective(make_class("star_hub", 4)) == 5
 
@@ -100,13 +100,11 @@ def test_methods_agree_on_random_trees():
     rng = np.random.default_rng(17)
     for _ in range(1000):
         t = random_tree(int(rng.integers(1, 201)), rng)
-        closed = expected_sum_projective(t, method="closed_form")
-        recurrence = expected_sum_projective(t, method="recurrence")
-        assert closed == recurrence
+        closed = expected_sum_projective(t)
+        assert closed == oracle_recurrence_expectation(t)
         assert closed.denominator in (1, 2, 3, 6)
-        closed_m1 = expected_sum_projective(t, "minus_one", "closed_form")
-        recurrence_m1 = expected_sum_projective(t, "minus_one", "recurrence")
-        assert closed_m1 == recurrence_m1 == closed - (t.n - 1)
+        closed_m1 = expected_sum_projective(t, "minus_one")
+        assert closed_m1 == oracle_recurrence_expectation(t, "minus_one") == closed - (t.n - 1)
 
 
 def test_closed_form_matches_recurrence_on_large_trees():
@@ -120,20 +118,19 @@ def test_closed_form_matches_recurrence_on_large_trees():
     trees.append(build_tree(3000, spine + legs, 1))
     for t in trees:
         assert t.n == 3000
-        closed = expected_sum_projective(t, method="closed_form")
-        assert closed == expected_sum_projective(t, method="recurrence")
+        assert expected_sum_projective(t) == oracle_recurrence_expectation(t)
     assert trees[5].size_array[1:].tolist() == list(range(3000, 0, -1))
     assert expected_sum_projective(trees[5]) == Fraction(2999 * 3002, 4)
 
 
 def test_brute_force_oracle_small_trees():
-    # every labeled rooted tree up to n = 5: enumeration mean equals both
-    # evaluation methods exactly (acceptance covers n <= 7 per shape)
+    # every labeled rooted tree up to n = 5: enumeration mean equals the
+    # closed form and the recurrence exactly (acceptance covers n <= 7 per shape)
     for n in range(1, 6):
         for t in all_labeled_rooted_trees(n):
             mean = brute_mean_projective(t)
-            assert mean == expected_sum_projective(t, method="closed_form")
-            assert mean == expected_sum_projective(t, method="recurrence")
+            assert mean == expected_sum_projective(t)
+            assert mean == oracle_recurrence_expectation(t)
 
 
 def test_edge_decomposition_of_expectation():
@@ -141,13 +138,11 @@ def test_edge_decomposition_of_expectation():
     rng = np.random.default_rng(8)
     for _ in range(60):
         t = random_tree(int(rng.integers(2, 60)), rng)
-        from projlin import compute_metrics
-
-        size = compute_metrics(t).size
+        size = t.size_array.tolist()
         total = Fraction(0)
         for child in t.children[t.root]:
-            total += expected_anchor_length(size[child])
-            total += expected_coanchor_length(t.n, size[child])
+            total += oracle_anchor_length(size[child])
+            total += oracle_coanchor_length(t.n, size[child])
             total += expected_sum_projective(t.subtree(child))
         assert total == expected_sum_projective(t)
 

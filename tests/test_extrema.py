@@ -16,8 +16,8 @@ from projlin import (
     min_expected_sum,
     parse_head_vector,
 )
-from projlin.extrema import _partitions, verify_entry
-from helpers import all_labeled_rooted_trees, oracle_minima
+from projlin.extrema import _partitions
+from helpers import all_labeled_rooted_trees, oracle_minima, oracle_recurrence_expectation
 
 # published minimum values and minimizer counts for sizes 1..20
 MINIMA_TABLE = {
@@ -102,7 +102,7 @@ def test_min_expected_full_table():
         entry = memo[n]
         assert entry.value == value, f"value mismatch at n={n}"
         assert len(entry.trees) == count, f"minimizer count mismatch at n={n}"
-        assert verify_entry(entry)
+        assert all(oracle_recurrence_expectation(t) == value for t in entry.trees)
         codes = {canonical_code(t) for t in entry.trees}
         assert len(codes) == len(entry.trees)
         assert all(t.n == n for t in entry.trees)
@@ -131,7 +131,7 @@ def test_min_expected_cap():
     with pytest.raises(CapExceeded):
         min_expected_sum(25)
     entry = min_expected_sum(22, cap=22)
-    assert verify_entry(entry)
+    assert all(oracle_recurrence_expectation(t) == entry.value for t in entry.trees)
 
 
 def test_min_vs_max_strict_for_n3_and_up():

@@ -17,7 +17,6 @@ from projlin import (
     UnsupportedSize,
     build_tree,
     canonical_code,
-    compute_metrics,
     enumerate_rooted_trees,
     make_class,
     parse_head_vector,
@@ -83,33 +82,30 @@ def test_head_vectors_need_exactly_one_root():
 
 def test_metrics_star_and_chain():
     star = make_class("star_hub", 5)
-    m = compute_metrics(star)
-    assert m.size[1:] == (5, 1, 1, 1, 1)
-    assert m.out_degree[1:] == (4, 0, 0, 0, 0)
+    assert star.size_array[1:].tolist() == [5, 1, 1, 1, 1]
+    assert star.out_degree_array[1:].tolist() == [4, 0, 0, 0, 0]
 
     chain = parse_head_vector("0 1 2")
-    m = compute_metrics(chain)
-    assert m.size[1:] == (3, 2, 1)
+    assert chain.size_array[1:].tolist() == [3, 2, 1]
 
 
 def test_metrics_eight_vertex_example():
     # root 4 with children 1, 2, 5, 3, 6; vertex 6 has children 7, 8
     t = build_tree(8, [(1, 4), (2, 4), (5, 4), (3, 4), (6, 4), (7, 6), (8, 6)], 4)
-    m = compute_metrics(t)
-    assert m.size[4] == 8
-    assert m.size[6] == 3
-    assert m.out_degree[4] == 5
+    assert t.size_array[4] == 8
+    assert t.size_array[6] == 3
+    assert t.out_degree_array[4] == 5
 
 
 def test_metrics_invariants_random():
     for seed in range(25):
         t = random_tree(2 + seed * 3 % 60 + 1, seed)
-        m = compute_metrics(t)
-        assert m.size[t.root] == t.n
-        assert sum(m.out_degree[1:]) == t.n - 1
+        size = t.size_array.tolist()
+        assert size[t.root] == t.n
+        assert sum(t.out_degree_array[1:].tolist()) == t.n - 1
         for v in range(1, t.n + 1):
-            assert m.size[v] == 1 + sum(m.size[c] for c in t.children[v])
-            assert m.size[v] >= 1
+            assert size[v] == 1 + sum(size[c] for c in t.children[v])
+            assert size[v] >= 1
 
 
 def test_make_class_shapes():
@@ -186,8 +182,7 @@ def test_random_tree_determinism_and_validity():
     b = random_tree(40, 123)
     assert a == b
     assert random_tree(40, 124) != a
-    m = compute_metrics(a)
-    assert m.size[a.root] == 40
+    assert a.size_array[a.root] == 40
 
 
 def _views(build):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlin import (
+    LinearArrangement,
     SkipRecord,
     TreebankSentence,
     analyze_treebank,
@@ -23,6 +24,7 @@ from projlin import (
     write_sentence_csv,
     write_summary_csv,
 )
+import projlin.tree as tree_module
 from projlin.treebank import _analyze_one
 
 
@@ -40,7 +42,7 @@ def test_two_token_sentence():
     assert isinstance(sentence, TreebankSentence)
     assert sentence.tree.root == 2
     assert sentence.tree.parent[1] == 2
-    assert sentence.observed.pos[1:] == (1, 2)
+    assert [token.form for token in sentence.tokens] == ["he", "left"]
 
 
 def test_sent_id_comment_and_default_numbering():
@@ -174,7 +176,7 @@ def test_any_lines_give_one_tree_or_skip_record_per_sentence(lines):
                 continue
             assert isinstance(record, TreebankSentence)
             n = record.tree.n
-            assert n == len(record.tokens) == record.observed.n
+            assert n == len(record.tokens)
             assert [token.id for token in record.tokens] == list(range(1, n + 1))
             assert record.tree.parent[1:] == tuple(token.head for token in record.tokens)
 
@@ -185,8 +187,12 @@ def test_projective_sentence_fixture_observed_sum():
     lines = "\n".join(token_line(i + 1, f"w{i + 1}", h) for i, h in enumerate(heads))
     (sentence,) = conllu(lines + "\n\n")
     assert sentence.tree.n == 8
-    assert sum_edge_lengths(sentence.tree, sentence.observed) == 12
-    assert is_projective(sentence.tree, sentence.observed)
+    surface = LinearArrangement.identity(8)
+    assert sum_edge_lengths(sentence.tree, surface) == 12
+    assert is_projective(sentence.tree, surface)
+    analysis = _analyze_one((0, sentence, (10,), 1))
+    assert (analysis.observed_standard, analysis.observed_minus_one) == (12, 5)
+    assert analysis.projective is True
 
 
 def test_nonprojective_sentence_flagged():
@@ -206,11 +212,12 @@ def test_round_trip_canonical_code():
         assert canonical_code(rebuilt) == canonical_code(t)
 
 
-def _synthetic_corpus(count, seed):
+def _synthetic_corpus(count, seed, sizes=(3, 26)):
+    """``count`` random trees with ``sizes[0] <= n < sizes[1]`` as CoNLL-U."""
     rng = np.random.default_rng(seed)
     sentences = []
     for i in range(count):
-        tree = random_tree(int(rng.integers(3, 26)), rng)
+        tree = random_tree(int(rng.integers(*sizes)), rng)
         # encode via the head vector to exercise the parser as well
         lines = "\n".join(
             token_line(v, f"w{v}", tree.parent[v]) for v in range(1, tree.n + 1)
@@ -220,16 +227,21 @@ def _synthetic_corpus(count, seed):
 
 
 def test_analyze_treebank_basics():
-    text = _synthetic_corpus(12, 7)
+    # the last sentence is long enough for the tree to be built by pointer
+    # doubling rather than by the Python pass
+    text = _synthetic_corpus(12, 7) + _synthetic_corpus(1, 8, sizes=(128, 200))
     parsed = conllu(text)
+    assert parsed[-1].tree.n >= tree_module._DOUBLING_MIN_N
     report = analyze_treebank(parsed, z_values=(10, 100), seed=5)
-    assert len(report.sentences) == 12
+    assert len(report.sentences) == 13
     assert report.skips == {}
     for sentence, analysis in zip(parsed, report.sentences):
+        surface = LinearArrangement.identity(analysis.n)
         assert analysis.sentence_id == sentence.sentence_id
+        assert analysis.observed_standard == sum_edge_lengths(sentence.tree, surface)
         assert analysis.observed_minus_one == analysis.observed_standard - (analysis.n - 1)
         assert analysis.exact == expected_sum_projective(sentence.tree)
-        assert analysis.projective == is_projective(sentence.tree, sentence.observed)
+        assert analysis.projective == is_projective(sentence.tree, surface)
         assert [z for z, _, _ in analysis.estimates] == [10, 100]
 
 
