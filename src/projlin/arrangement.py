@@ -23,14 +23,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, SizeMismatch
-from .tree import RootedTree
+from .tree import RootedTree, _generator
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
 VARIANTS = ("standard", "minus_one")
 
 # Blocks of up to this many segments are ordered by comparing every pair of
-# ranks, larger ones (stars and the like) by a sort of their own rows.
+# keys, larger ones (stars and the like) by a sort of their own rows.
 _PAIRWISE_MAX_SEGMENTS = 8
 
 
@@ -61,14 +61,27 @@ class LinearArrangement:
     def _init_from_array(self, positions: np.ndarray) -> None:
         """The same checks in bulk, for an integer array of positions."""
         n = positions.size
-        inverse = np.zeros(n + 1, dtype=np.int64)
         if n and not 1 <= positions.min() <= positions.max() <= n:
             raise ValueError(f"positions are not a bijection onto 1..{n}")
-        inverse[positions] = np.arange(1, n + 1)
-        if np.count_nonzero(inverse) != n:
+        if np.count_nonzero(self._store(positions)) != n:
             raise ValueError(f"positions are not a bijection onto 1..{n}")
+
+    def _store(self, positions: np.ndarray) -> np.ndarray:
+        """Set both tuples from an array of positions; returns the inverse
+        array, in which a position no vertex took reads 0."""
+        inverse = np.zeros(positions.size + 1, dtype=np.int64)
+        inverse[positions] = np.arange(1, positions.size + 1)
         self.pos = (0,) + tuple(positions.tolist())
         self.inverse = tuple(inverse.tolist())
+        return inverse
+
+    @classmethod
+    def _of_bijection(cls, positions: np.ndarray) -> "LinearArrangement":
+        """Wrap an int array of positions that is a bijection onto 1..n by
+        construction, without the checks of the public constructors."""
+        arrangement = cls.__new__(cls)
+        arrangement._store(positions)
+        return arrangement
 
     @classmethod
     def identity(cls, n: int) -> "LinearArrangement":
@@ -248,60 +261,97 @@ def _segment_offsets(
     subtree of each child.  Returns ``kids``, every vertex but the root,
     and a (z, 2n - 1) int64 matrix whose column v - 1 holds the offset of
     v's own slot in block v and whose column n + j holds the offset of the
-    subtree of kids[j] in its parent's block.  Row i gives the segments the
-    ranks of the i-th of z successive ``rng.permutation(2n - 1)`` draws, so
-    a draw does not depend on how many rows are drawn with it.  Ordering
-    each block by rank orders every block independently and uniformly: a
-    segment's offset is the total length of the segments of its own block
-    with smaller ranks.  The blocks of one size are handled together, from
-    the plan in ``tree.blocks``: a leaf's block needs nothing (offset 0),
-    two segments one comparison, up to ``_PAIRWISE_MAX_SEGMENTS`` segments
-    a comparison of every pair, and larger blocks a sort of their own rows.
+    subtree of kids[j] in its parent's block.
+
+    A draw gives each segment an independent uniform 64-bit key, one
+    ``rng.integers`` row, and orders every block by key: a segment's
+    offset is the total length of the segments of its own block with
+    smaller keys.  A row in which two segments of one block drew the same
+    key is dropped and more rows are drawn, so the result is the first z
+    rows of the stream without such a tie, in stream order.  Given no tie
+    the keys of a block are exchangeable, so each block's order is exactly
+    uniform and independent of the others; and a draw does not depend on
+    how many rows are drawn with it.
     """
     n = tree.n
     kids = np.flatnonzero(tree.parent_array)
     length = np.ones(2 * n - 1, dtype=np.int64)
     length[n:] = tree.size_array[kids]
-    ranks = np.arange(2 * n - 1)[None].repeat(z, 0)
-    rng.permuted(ranks, axis=1, out=ranks)
-    out = np.zeros(ranks.shape, dtype=np.int64)
-    for segments in tree.blocks:
-        rank = ranks[:, segments]  # (z, blocks, segments per block)
+    parts = []
+    while z:
+        keys = rng.integers(0, 2**64, size=(z, 2 * n - 1), dtype=np.uint64)
+        offsets, tied = _ordered_blocks(tree.blocks, length, keys)
+        if tied is not None:
+            offsets = offsets[~tied]
+        parts.append(offsets)
+        z -= len(offsets)
+    return kids, parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _ordered_blocks(
+    blocks: tuple[np.ndarray, ...], length: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Segment offsets for rows of keys, and a mask of the rows with a tie
+    in some block (None when there is no tie).
+
+    The blocks of one size are handled together, from the plan in
+    ``tree.blocks``: a leaf's block needs nothing (offset 0), two segments
+    one comparison, up to ``_PAIRWISE_MAX_SEGMENTS`` segments a comparison
+    of every pair, and larger blocks a sort of their own rows.  Each group
+    is checked for equal keys at once, by the same comparisons; only a
+    group where that check fires is searched for the tied rows.
+    """
+    out = np.zeros(keys.shape, dtype=np.int64)
+    tied = None
+    for segments in blocks:
+        key = keys[:, segments]  # (z, blocks, segments per block)
         k = segments.shape[1]
         if k == 2:
             # the vertex's own slot (length 1) and its one child's subtree
             own, child = segments.T
-            own_later = rank[..., 0] > rank[..., 1]
+            own_later = key[..., 0] > key[..., 1]
             out[:, own] = own_later * length[child]
             out[:, child] = ~own_later
-            continue
-        lengths = length[segments]
-        if k <= _PAIRWISE_MAX_SEGMENTS:
-            # earlier[..., i, j]: segment j precedes segment i in its block
-            earlier = rank[..., None, :] < rank[..., :, None]
-            offset = np.einsum("zbij,bj->zbi", earlier, lengths)
+            tie = np.count_nonzero(key[..., 0] == key[..., 1])
         else:
-            order = np.argsort(rank, axis=2)
-            placed = np.take_along_axis(np.broadcast_to(lengths, rank.shape), order, axis=2)
-            before = np.cumsum(placed, axis=2)
-            before -= placed
-            offset = np.empty_like(before)
-            np.put_along_axis(offset, order, before, axis=2)
-        out[:, segments] = offset
-    return kids, out
+            lengths = length[segments]
+            if k <= _PAIRWISE_MAX_SEGMENTS:
+                # earlier[..., i, j]: segment j precedes segment i in its
+                # block; without ties, one of every pair does
+                earlier = key[..., None, :] < key[..., :, None]
+                offset = np.einsum("zbij,bj->zbi", earlier, lengths)
+                tie = np.count_nonzero(earlier) != key.size * (k - 1) // 2
+            else:
+                order = np.argsort(key, axis=2)
+                ranked = np.take_along_axis(key, order, axis=2)
+                tie = np.count_nonzero(ranked[..., 1:] == ranked[..., :-1])
+                placed = np.take_along_axis(np.broadcast_to(lengths, key.shape), order, axis=2)
+                before = np.cumsum(placed, axis=2)
+                before -= placed
+                offset = np.empty_like(before)
+                np.put_along_axis(offset, order, before, axis=2)
+            out[:, segments] = offset
+        if tie:
+            ranked = np.sort(key, axis=2)
+            rows = (ranked[..., 1:] == ranked[..., :-1]).any(axis=(1, 2))
+            tied = rows if tied is None else tied | rows
+    return out, tied
 
 
 def sample_projective(tree: RootedTree, seed) -> LinearArrangement:
     """Draw one arrangement uniformly from the projective set.
 
-    The one-draw case of :func:`_segment_offsets`: a block starts at 1
-    plus the offsets of the child segments on the path from its vertex up
-    to the root, summed by pointer doubling, and a vertex sits at its own
-    offset from the start of its block.  No rejection is needed.  ``seed``
-    may be an int or a ``numpy.random.Generator`` (pass a generator to
-    draw several samples from one stream).
+    The one-draw case of :func:`_segment_offsets`, which orders each block
+    by 64-bit random keys and redraws the whole row in the rare case (about
+    one in 2^64 per pair of segments in a block) that two keys of one block
+    are equal.  A block starts at 1 plus the offsets of the child segments
+    on the path from its vertex up to the root, summed by pointer doubling,
+    and a vertex sits at its own offset from the start of its block; the
+    positions are a bijection by construction and are not checked again.
+    ``seed`` may be a non-negative int or a ``numpy.random.Generator``
+    (pass a generator to draw several samples from one stream).
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _generator(seed)
     n = tree.n
     kids, (offset,) = _segment_offsets(tree, 1, rng)
     # Doubling turns start[v] into the sum of these values from v up to the
@@ -313,4 +363,4 @@ def sample_projective(tree: RootedTree, seed) -> LinearArrangement:
     while np.count_nonzero(jump):
         start += start[jump]
         jump = jump[jump]
-    return LinearArrangement(start[1:] + offset[:n])
+    return LinearArrangement._of_bijection(start[1:] + offset[:n])

@@ -5,7 +5,10 @@ projective arrangements, drawn by the same sampler as
 :func:`projlin.arrangement.sample_projective`: the estimate from a seed
 is exactly the mean edge-length sum of z successive ``sample_projective``
 draws from ``numpy.random.default_rng(seed)``.  It needs no positions,
-only each segment's offset inside its block, taken for many draws at once.
+only each segment's offset inside its block, taken for many draws at once:
+every draw gives each segment a uniform 64-bit key and orders each block
+by key, and a draw in which two segments of one block share a key is
+dropped and replaced by the next draw of the stream.
 
 Relative errors of estimates against exact values are aggregated per tree
 size with percentile-bootstrap confidence intervals, matching the usual
@@ -22,7 +25,7 @@ import numpy as np
 
 from .arrangement import _segment_offsets
 from .errors import OutOfRange, ZeroExact
-from .tree import RootedTree
+from .tree import RootedTree, _check_seed, _generator
 
 # Keep each sampled offset matrix around 32 MB regardless of tree size.
 _CHUNK_CELLS = 4_000_000
@@ -56,18 +59,20 @@ class ErrorStats:
 def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     """Mean total edge length over z uniform projective samples.
 
-    Deterministic given the seed.  A sample costs O(n) for the blocks of
-    up to ``arrangement._PAIRWISE_MAX_SEGMENTS`` segments, which compare
-    their segments' ranks pairwise, plus O(k log k) to sort each larger
-    block of k segments.  The per-sample sums are integers, so the
+    Deterministic given the seed, which must be a non-negative int.  A
+    sample draws one uniform 64-bit key per segment and costs O(n) for the
+    blocks of up to ``arrangement._PAIRWISE_MAX_SEGMENTS`` segments, which
+    compare their segments' keys pairwise, plus O(k log k) to sort each
+    larger block of k segments; the rare sample with two equal keys in one
+    block is redrawn.  The per-sample sums are integers, so the
     accumulation is exact and only the final division produces a float.
     """
     if z < 1:
         raise OutOfRange(f"z must be positive, got {z}")
+    rng = _generator(seed)
     n = tree.n
     if n == 1:
         return MCEstimate(z, 0.0, seed)
-    rng = np.random.default_rng(seed)
     chunk = max(1, min(z, _CHUNK_CELLS // (2 * n - 1)))
     total = 0
     remaining = z
@@ -110,8 +115,10 @@ def aggregate_errors(
     with the given number of resamples; a single record yields the
     degenerate interval at its own value.  The resample indices are drawn
     in blocks of rows of about ``_BOOTSTRAP_CELLS`` cells, so memory stays
-    bounded however many records share one size.
+    bounded however many records share one size.  A negative seed raises
+    OutOfRange.
     """
+    _check_seed(seed)
     grouped: dict[int, list[float]] = {}
     for n, err in records:
         grouped.setdefault(n, []).append(err)

@@ -466,6 +466,22 @@ def make_class(tree_class: str, n: int, k: int | None = None) -> RootedTree:
     return build_tree(n, links, 1)
 
 
+def _check_seed(seed) -> None:
+    """Raise OutOfRange for a negative int seed, which numpy rejects with
+    a ValueError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise OutOfRange(f"seed must be a non-negative integer, got {seed}")
+
+
+def _generator(seed) -> np.random.Generator:
+    """``seed`` itself when it is a ``numpy.random.Generator``, else a new
+    generator seeded with it; a negative int seed raises OutOfRange."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    _check_seed(seed)
+    return np.random.default_rng(seed)
+
+
 def random_tree(n: int, seed) -> RootedTree:
     """Uniformly random labeled rooted tree on n vertices.
 
@@ -475,7 +491,7 @@ def random_tree(n: int, seed) -> RootedTree:
     """
     if n < 1:
         raise UnsupportedSize(f"n must be positive, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _generator(seed)
     if n == 1:
         return build_tree(1, [], 1)
     root = int(rng.integers(1, n + 1))

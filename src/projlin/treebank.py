@@ -29,7 +29,7 @@ from .arrangement import LinearArrangement, count_projective, is_projective, sum
 from .errors import ProjlinError
 from .expectation import expected_sum_projective
 from .montecarlo import ErrorStats, aggregate_errors, estimate_expected_sum, relative_error
-from .tree import RootedTree, build_tree
+from .tree import RootedTree, _check_seed, build_tree
 
 
 class Token(NamedTuple):
@@ -215,8 +215,9 @@ def analyze_treebank(
     Skip records are tallied by reason.  Monte Carlo seeds are derived per
     (sentence index, z index), so any ``jobs`` value produces identical
     numbers.  Error statistics exclude single-vertex sentences, whose
-    exact expectation is zero.
+    exact expectation is zero.  A negative seed raises OutOfRange.
     """
+    _check_seed(seed)
     z_values = tuple(int(z) for z in z_values)
     if not z_values:
         raise ValueError("z_values must be nonempty")

@@ -285,11 +285,13 @@ def oracle_minima(n):
 def oracle_segment_offsets(tree, z, rng):
     """The projective sampler's segment offsets by one sort of all segments.
 
-    Draws the same ranks as ``arrangement._segment_offsets`` (z rows of a
-    random permutation of the 2n - 1 segments), sorts each row by block and
-    then by rank, takes exclusive prefix sums of the sorted lengths and
-    shifts each block back to start at 0.  Returns the same ``(kids,
-    offsets)`` pair, so equal generator states must give equal matrices.
+    Draws the same keys as ``arrangement._segment_offsets`` (rows of 2n - 1
+    uniform 64-bit integers), sorts each row by block and then by key, and
+    drops the rows where two neighbours in that order share both block and
+    key, drawing more rows until z are left.  It then takes exclusive prefix
+    sums of the sorted lengths and shifts each block back to start at 0.
+    Returns the same ``(kids, offsets)`` pair, so equal generator states
+    must give equal matrices.
     """
     n = tree.n
     parent = tree.parent_array
@@ -298,9 +300,14 @@ def oracle_segment_offsets(tree, z, rng):
     m = 2 * n - 1
     block = np.concatenate((np.arange(1, n + 1), parent[kids]))
     length = np.concatenate((np.ones(n, dtype=np.int64), size[kids]))
-    keys = rng.permuted(np.arange(m)[None].repeat(z, 0), axis=1)
-    keys += block * m
-    perm = np.argsort(keys, axis=1)
+    rows = []
+    while len(rows) < z:
+        keys = rng.integers(0, 2**64, size=(z - len(rows), m), dtype=np.uint64)
+        perm = np.lexsort((keys, np.broadcast_to(block, keys.shape)))
+        ranked = np.take_along_axis(keys, perm, axis=1)
+        tie = (ranked[:, 1:] == ranked[:, :-1]) & (block[perm[:, 1:]] == block[perm[:, :-1]])
+        rows.extend(p for p, tied in zip(perm, tie.any(axis=1)) if not tied)
+    perm = np.array(rows).reshape(z, m)
     placed = length[perm]
     offset = np.cumsum(placed, axis=1) - placed
     # Block v holds size[v] positions, so the exclusive prefix sums of its
@@ -309,3 +316,23 @@ def oracle_segment_offsets(tree, z, rng):
     out = np.empty_like(offset)
     out[np.arange(z)[:, None], perm] = offset
     return kids, out
+
+
+class NarrowKeys(np.random.Generator):
+    """A PCG64 generator whose ``integers`` keeps only the top bits.
+
+    Each value still takes one 64-bit word of the stream, as the sampler's
+    full-range ``uint64`` keys do, but lies in 0..2**bits - 1, so equal
+    keys inside a block are common and the sampler's redraw of tied rows
+    runs often.  ``rows`` counts the rows of keys drawn so far.
+    """
+
+    def __init__(self, seed, bits):
+        super().__init__(np.random.PCG64(seed))
+        self.shift = np.uint64(64 - bits)
+        self.rows = 0
+
+    def integers(self, *args, **kwargs):
+        keys = super().integers(*args, **kwargs)
+        self.rows += len(keys)
+        return keys >> self.shift

@@ -9,6 +9,7 @@ from scipy import stats
 from projlin import (
     CapExceeded,
     LinearArrangement,
+    OutOfRange,
     SizeMismatch,
     build_tree,
     count_projective,
@@ -23,6 +24,7 @@ from projlin import (
 )
 from projlin import arrangement
 from helpers import (
+    NarrowKeys,
     all_arrangements,
     broom,
     brute_projective_arrangements,
@@ -231,6 +233,13 @@ def test_sample_deterministic_given_seed():
     assert sample_projective(t, 77) == sample_projective(t, 77)
 
 
+def test_sample_negative_seed_is_out_of_range():
+    t = random_tree(15, 9)
+    for seed in (-1, np.int64(-5)):
+        with pytest.raises(OutOfRange):
+            sample_projective(t, seed)
+
+
 def test_sample_only_projective_arrangements():
     rng = np.random.default_rng(21)
     for _ in range(50):
@@ -251,6 +260,59 @@ def test_sampler_uniform_on_eight_vertex_tree():
     assert counts.sum() == 43200
     result = stats.chisquare(counts)
     assert result.pvalue > 1e-3
+
+
+def _tie_prone_cases():
+    # (tree, key bits): 8 keys for trees whose blocks have at most 6
+    # segments, 2^10 for stars of 9..60 leaves, so a row is often tied but
+    # can still come out tie-free; together they run every kernel branch
+    rng = np.random.default_rng(31)
+    cases = [(random_tree(int(rng.integers(2, 13)), rng), 3) for _ in range(40)]
+    cases = [(t, bits) for t, bits in cases if max(t.out_degree_array) <= 5]
+    cases += [(make_class("star_hub", leaves + 1), 10) for leaves in (9, 12, 20, 40, 60)]
+    cases += [(caterpillar(3, 10), 10), (broom(4, 12), 10)]
+    sizes = {segments.shape[1] for tree, _ in cases for segments in tree.blocks}
+    assert 2 in sizes and sizes & set(range(3, 7)) and max(sizes) > arrangement._PAIRWISE_MAX_SEGMENTS
+    return cases
+
+
+@pytest.mark.parametrize("z", [1, 3, 100])
+def test_segment_offsets_match_the_oracle_when_keys_tie(z):
+    # keys from a small range tie often; the kernel must drop exactly the
+    # rows the oracle's own tie rule drops, and keep the rest in order
+    redrawn = 0
+    for i, (tree, bits) in enumerate(_tie_prone_cases()):
+        rng = NarrowKeys(i, bits)
+        kids, offsets = arrangement._segment_offsets(tree, z, rng)
+        oracle_kids, oracle_offsets = oracle_segment_offsets(tree, z, NarrowKeys(i, bits))
+        assert np.array_equal(kids, oracle_kids)
+        assert offsets.shape == oracle_offsets.shape == (z, 2 * tree.n - 1)
+        assert np.array_equal(offsets, oracle_offsets), tree
+        redrawn += rng.rows - z
+    assert redrawn > 0
+
+
+def test_segment_offsets_drawn_at_once_equal_successive_draws_when_keys_tie():
+    for i, (tree, bits) in enumerate(_tie_prone_cases()):
+        for z in (2, 7, 40):
+            _, at_once = arrangement._segment_offsets(tree, z, NarrowKeys(i, bits))
+            rng = NarrowKeys(i, bits)
+            successive = [arrangement._segment_offsets(tree, 1, rng)[1] for _ in range(z)]
+            assert np.array_equal(at_once, np.concatenate(successive)), (tree, z)
+
+
+def test_sampler_uniform_on_eight_vertex_tree_when_keys_tie():
+    # the tree of the test above with 16 possible keys: about 72% of rows
+    # hold a tie (mostly in the root's block of 6 segments) and are
+    # redrawn; 21,600 draws, 5 per arrangement, as each draw costs several
+    t = build_tree(8, [(1, 4), (2, 4), (5, 4), (3, 4), (6, 4), (7, 6), (8, 6)], 4)
+    index = {a: i for i, a in enumerate(enumerate_projective(t))}
+    counts = np.zeros(len(index), dtype=np.int64)
+    rng = NarrowKeys(2025, 4)
+    for _ in range(21600):
+        counts[index[sample_projective(t, rng)]] += 1
+    assert rng.rows > 2 * 21600
+    assert stats.chisquare(counts).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("z", [1, 3, 100])

@@ -48,6 +48,18 @@ def test_estimate_deterministic():
     assert estimate_expected_sum(t, 5000, 100).mean != a.mean
 
 
+def test_estimate_negative_seed_is_out_of_range():
+    # also on one vertex, where no draw is made
+    for tree in (random_tree(14, 2), parse_head_vector("0")):
+        with pytest.raises(OutOfRange):
+            estimate_expected_sum(tree, 10, -1)
+
+
+def test_aggregate_negative_seed_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        aggregate_errors([(3, 0.1), (3, -0.2)], resamples=10, seed=-1)
+
+
 def test_estimate_z_validation():
     with pytest.raises(OutOfRange):
         estimate_expected_sum(parse_head_vector("0 1"), 0, 1)

@@ -177,6 +177,12 @@ def test_subtree_extraction():
     assert canonical_code(whole) == canonical_code(t)
 
 
+def test_random_tree_negative_seed_is_out_of_range():
+    for n in (1, 2, 40):
+        with pytest.raises(OutOfRange):
+            random_tree(n, -2)
+
+
 def test_random_tree_determinism_and_validity():
     a = random_tree(40, 123)
     b = random_tree(40, 123)

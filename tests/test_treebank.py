@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from projlin import (
     LinearArrangement,
+    OutOfRange,
     SkipRecord,
     TreebankSentence,
     analyze_treebank,
@@ -243,6 +244,14 @@ def test_analyze_treebank_basics():
         assert analysis.exact == expected_sum_projective(sentence.tree)
         assert analysis.projective == is_projective(sentence.tree, surface)
         assert [z for z, _, _ in analysis.estimates] == [10, 100]
+
+
+def test_analyze_negative_seed_is_out_of_range():
+    # also on a corpus of one-vertex sentences, where no Monte Carlo draw
+    # or bootstrap would run
+    for text in (_synthetic_corpus(4, 7), token_line(1, "yes", 0) + "\n\n"):
+        with pytest.raises(OutOfRange):
+            analyze_treebank(conllu(text), z_values=(10,), seed=-1)
 
 
 def test_analyze_deterministic_and_parallel_identical():
