@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Sequence
 
+import numpy as np
+
 from .errors import CapExceeded, OutOfRange
-from .tree import RootedTree, _tree_from_parent, make_class
+from .tree import RootedTree, make_class
 
 DEFAULT_MIN_CAP = 20
 DEFAULT_TREE_ENUM_CAP = 10
@@ -80,12 +82,22 @@ def _partitions(
 def _attach_root(subtrees: Sequence[RootedTree]) -> RootedTree:
     """A new root 1 above the given subtrees, in order; a subtree's vertex
     v becomes v plus the count of vertices before that subtree.  Children
-    lists come out ascending."""
+    lists come out ascending.
+
+    The result is a tree by construction and the subtrees' sizes and
+    out-degrees carry over, so it is assembled from their arrays without
+    the validating core; its views are built on first use.
+    """
     parent = [0, 0]
     for sub in subtrees:
         offset = len(parent) - 1
         parent.extend(p + offset if p else 1 for p in sub.parent[1:])
-    return _tree_from_parent(len(parent) - 1, 1, parent)
+    n = len(parent) - 1
+    size = np.concatenate([[0, n], *(sub.size_array[1:] for sub in subtrees)], dtype=np.int64)
+    out_degree = np.concatenate(
+        [[0, len(subtrees)], *(sub.out_degree_array[1:] for sub in subtrees)], dtype=np.int64
+    )
+    return RootedTree(n, 1, np.array(parent, dtype=np.int64), size, out_degree, None, None, None)
 
 
 def combine_forests(

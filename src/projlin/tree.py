@@ -11,9 +11,13 @@ and CoNLL-U token ids line up without translation.
 Every constructor ends in one core that validates a parent array and
 computes the subtree sizes.  Below ``_DOUBLING_MIN_N`` vertices it runs a
 plain Python breadth-first pass; from there on it uses numpy pointer
-doubling, which needs about log2(height) rounds of gathers and
-``bincount`` calls and no loop over vertices or levels, so a path costs
-no more than a bushy tree of the same size.
+doubling: about log2(height) rounds, each one ``bincount`` and one gather
+over the whole array, and no loop over vertices or levels, so a path
+costs no more than a bushy tree of the same size.  The minimizing trees
+of ``extrema`` skip the core: they are assembled from subtrees already
+built, and are trees by construction.  A head-vector text of ASCII digits
+and whitespace is read by one ``np.fromstring`` call; any other text goes
+through ``str.split``, which names what is wrong with it.
 
 The module also provides the named tree classes used by the closed-form
 tables (stars, quasi-stars, linear trees), AHU-style canonical codes for
@@ -51,13 +55,18 @@ TREE_CLASSES = (
 # over between 64 and 192 vertices).
 _DOUBLING_MIN_N = 128
 
+# The characters of a head vector that np.fromstring reads as str.split
+# would: the ASCII digits and the six ASCII whitespace characters.
+_DIGITS_AND_SPACE = b"0123456789 \t\n\r\x0b\x0c"
+
 
 class RootedTree:
     """Immutable rooted tree over vertices 1..n.
 
     Instances are produced by :func:`build_tree` and :func:`tree_from_heads`
     (or the constructors built on them), which validate single headedness,
-    connectedness and acyclicity.  The arrays are read-only and the views
+    connectedness and acyclicity, or are assembled from such trees by
+    ``extrema._attach_root``.  The arrays are read-only and the views
     are tuples, so the object is safe to share between threads.
 
     Attributes:
@@ -256,22 +265,22 @@ def _doubling_kernel(n: int, parent: np.ndarray):
     there is none) and ``size[x]`` counts the descendants of x, itself
     included, fewer than 2^k links below it.  Adding every ``size[x]``
     into ``size[jump[x]]`` and squaring the jump doubles both distances.
-    A vertex that still has an ancestor n or more links above lies on, or
-    below, a cycle.
+    Each round works on the whole array: slot 0 absorbs the sizes of the
+    vertices without an ancestor that far up and is cleared again, which
+    costs less than compacting the vertices still climbing.  A vertex
+    that still has an ancestor n or more links above lies on, or below, a
+    cycle.  ``parent`` is only read: the first squaring makes a new array.
     """
     size = np.ones(n + 1)  # float64, as bincount sums weights; exact below 2^53
     size[0] = 0
-    jump = parent.copy()
-    active = np.flatnonzero(jump)
+    jump = parent
     reach = 1
-    while active.size:
+    while np.count_nonzero(jump):
         if reach >= n:
             raise CycleDetected("the unreachable vertices form one or more cycles")
-        up = jump[active]
-        size += np.bincount(up, weights=size[active], minlength=n + 1)
-        up = jump[up]
-        jump[active] = up
-        active = active[up != 0]
+        size += np.bincount(jump, weights=size, minlength=n + 1)
+        size[0] = 0
+        jump = jump[jump]
         reach *= 2
     out_degree = np.bincount(parent, minlength=n + 1)
     out_degree[0] = 0
@@ -374,7 +383,19 @@ def tree_from_heads(heads: Sequence[int]) -> RootedTree:
 
 
 def parse_head_vector(text: str) -> RootedTree:
-    """Parse a whitespace-separated head vector such as ``"0 1 1 2"``."""
+    """Parse a whitespace-separated head vector such as ``"0 1 1 2"``.
+
+    Text of ASCII digits and whitespace alone, with at least one digit, is
+    read by one ``np.fromstring`` call; that call would turn blank text
+    into ``[0]``, stop silently at a bad token and saturate an overflowing
+    entry, so every other text, and any entry read above the entry count,
+    goes through ``str.split``, which names the error.
+    """
+    if text and text.isascii() and not text.isspace():
+        if not text.encode().translate(None, _DIGITS_AND_SPACE):
+            heads = np.fromstring(text, dtype=np.int64, sep=" ")
+            if heads.max() <= heads.size:
+                return tree_from_heads(heads)
     try:
         heads = np.array(text.split(), dtype=np.int64)
     except ValueError as exc:

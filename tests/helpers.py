@@ -12,7 +12,9 @@ import numpy as np
 
 from projlin import (
     LinearArrangement,
+    OutOfRange,
     RootedTree,
+    UnsupportedSize,
     build_tree,
     canonical_code,
     combine_forests,
@@ -227,6 +229,24 @@ def oracle_tree_from_heads(heads):
     size = (0,) + tuple(sum(u in chain for chain in ancestors.values()) for u in range(1, n + 1))
     out_degree = tuple(len(c) for c in children)
     return parent, children, tuple(order), size, out_degree
+
+
+def oracle_parse_head_vector(text):
+    """The head-vector parse by ``str.split`` and per-token ``int``.
+
+    Reads every text the way the library's one-call parse must read it,
+    and names every error it must name: OutOfRange for a token that is
+    not an integer or overflows int64, UnsupportedSize for blank text.
+    """
+    try:
+        heads = np.array(text.split(), dtype=np.int64)
+    except ValueError as exc:
+        raise OutOfRange(f"head vector must contain integers: {exc}") from None
+    except OverflowError:
+        raise OutOfRange("head vector entries must lie within 0..n") from None
+    if not heads.size:
+        raise UnsupportedSize("empty head vector")
+    return tree_from_heads(heads)
 
 
 def _fixed_part_partitions(total, parts, largest=None):

@@ -15,6 +15,7 @@ from projlin import (
     max_expected_sum,
     min_expected_sum,
     parse_head_vector,
+    tree_from_heads,
 )
 from projlin.extrema import _partitions
 from helpers import all_labeled_rooted_trees, oracle_minima, oracle_recurrence_expectation
@@ -208,3 +209,17 @@ def test_enumerate_rooted_trees_matches_labeled_sweep():
 def test_enumerate_rooted_trees_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_rooted_trees(11))
+
+
+def test_minimizers_match_the_trees_of_their_head_vectors():
+    memo = {}
+    min_expected_sum(30, memo, cap=30)
+    for m in range(1, 31):
+        for t in memo[m].trees:
+            want = tree_from_heads(t.parent[1:])
+            assert (t.n, t.root) == (want.n, want.root)
+            assert t.parent == want.parent
+            assert t.children == want.children
+            assert t.order == want.order
+            assert t.size_array.tolist() == want.size_array.tolist()
+            assert t.out_degree_array.tolist() == want.out_degree_array.tolist()

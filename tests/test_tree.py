@@ -1,9 +1,11 @@
 """Tree construction, validation, metrics, classes, and canonical codes."""
 
+import random
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import projlin.tree as tree_module
@@ -23,7 +25,7 @@ from projlin import (
     random_tree,
     tree_from_heads,
 )
-from helpers import all_labeled_rooted_trees, oracle_tree_from_heads
+from helpers import all_labeled_rooted_trees, oracle_parse_head_vector, oracle_tree_from_heads
 
 
 def test_single_vertex():
@@ -259,3 +261,80 @@ def test_links_in_any_order_keep_their_order_in_children(heads, rnd):
         assert children[p] == tuple(c for c, h in links if h == p)
     assert size[root] == len(heads) and sum(out_degree) == len(heads) - 1
     assert order[0] == root and sorted(order) == list(range(1, len(heads) + 1))
+
+
+_WHITESPACE = " \t\n\r\x0b\x0c"
+# Pieces the one-call parse must not read itself: signs, underscores (which
+# int() accepts inside digits), NBSP (whitespace to str.split), a
+# non-ASCII digit, and tokens that overflow int64.
+_TEXT_PIECES = st.one_of(
+    st.sampled_from(list("0123456789" + _WHITESPACE + "-+_\xa0\u0661")),
+    st.integers(10**19, 10**20 - 1).map(str),
+)
+
+
+@st.composite
+def head_vector_texts(draw):
+    """Text soups of ``_TEXT_PIECES``, and head vectors written between
+    runs of ASCII whitespace, one token possibly prefixed by a piece."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(_TEXT_PIECES, max_size=30)))
+    tokens = [str(h) for h in draw(head_vectors())]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(_TEXT_PIECES) + tokens[i]
+    gaps = draw(
+        st.lists(
+            st.text(_WHITESPACE, min_size=1, max_size=3),
+            min_size=len(tokens) - 1,
+            max_size=len(tokens) - 1,
+        )
+    )
+    lead, trail = draw(st.text(_WHITESPACE, max_size=2)), draw(st.text(_WHITESPACE, max_size=2))
+    return lead + "".join(g + t for g, t in zip([""] + gaps, tokens)) + trail
+
+
+@settings(max_examples=400, deadline=None)
+@given(head_vector_texts())
+@example("0 1 1\n")
+@example("\x0b0\x0c1\t1\r\n")
+@example("")
+@example(" \t\n")
+@example("0 1 99999999999999999999")
+@example("0 1 9223372036854775807")
+@example("0 -1")
+@example("0 +1")
+@example("0 1_0")
+@example("0 \u0661")
+@example("0\xa01")
+def test_parsed_texts_give_the_oracle_tree_or_its_error(text):
+    want = _views(lambda: oracle_parse_head_vector(text))
+    assert _both_kernels(lambda: parse_head_vector(text)) == want
+
+
+@pytest.mark.parametrize("k", range(7, 13))
+def test_doubling_on_paths_around_powers_of_two(k):
+    rnd = random.Random(k)
+    for n in (2**k - 1, 2**k, 2**k + 1):
+        for labels in (list(range(1, n + 1)), rnd.sample(range(1, n + 1), n)):
+            parent = np.zeros(n + 1, dtype=np.int64)
+            parent[labels[1:]] = labels[:-1]
+            given_parent = parent.copy()
+            got = _both_kernels(lambda: tree_module._tree_from_parent(n, labels[0], parent))
+            assert np.array_equal(parent, given_parent)
+            _, _, order, size, out_degree = got
+            assert order == tuple(labels)
+            assert [size[v] for v in labels] == list(range(n, 0, -1))
+            assert [out_degree[v] for v in labels] == [1] * (n - 1) + [0]
+
+
+def test_doubling_finds_a_two_cycle_beside_a_path_and_above_one():
+    n = 300
+    beside = [0] + list(range(1, 298)) + [300, 299]  # path 1..298, cycle 299-300
+    # path 1..149, cycle 150-151, and the path 152..300 hanging below 151
+    above = [0] + list(range(1, 149)) + [151, 150] + list(range(151, 300))
+    for heads in (beside, above):
+        parent = np.array([0] + heads, dtype=np.int64)
+        assert np.count_nonzero(parent) == n - 1
+        got = _both_kernels(lambda: tree_module._tree_from_parent(n, 1, parent))
+        assert got == ("CycleDetected", "the unreachable vertices form one or more cycles")
