@@ -28,6 +28,7 @@ from .errors import (
     SizeMismatch,
     UnreadableInput,
     UnsupportedSize,
+    UnwritableOutput,
     ZeroExact,
 )
 from .expectation import (
@@ -102,6 +103,7 @@ __all__ = [
     "TREE_CLASSES",
     "UnreadableInput",
     "UnsupportedSize",
+    "UnwritableOutput",
     "ZeroExact",
     "aggregate_errors",
     "analyze_treebank",

@@ -28,7 +28,7 @@ from . import expectation as expe
 from . import extrema
 from . import treebank
 from ._digits import exact_str
-from .errors import CapExceeded, OutOfRange, ProjlinError, UnreadableInput
+from .errors import CapExceeded, OutOfRange, ProjlinError, UnreadableInput, UnwritableOutput
 from .montecarlo import estimate_expected_sum
 from .tree import TREE_CLASSES, canonical_code, make_class, parse_head_vector
 
@@ -70,6 +70,14 @@ def _open_input(path: str):
         return open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise UnreadableInput(f"cannot open {path}: {exc.strerror or exc}") from None
+
+
+def _open_output(path: str):
+    """Open an output file for writing as UTF-8 text."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> UnreadableInput:
@@ -187,9 +195,9 @@ def _cmd_analyze(args) -> int:
             raise _not_utf8(args.input, exc) from None
     sentences_path = prefix + ".sentences.csv"
     summary_path = prefix + ".summary.csv"
-    with open(sentences_path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(sentences_path) as fh:
         treebank.write_sentence_csv(report, fh)
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(summary_path) as fh:
         treebank.write_summary_csv(report, fh)
     skipped = sum(report.skips.values())
     detail = "; ".join(f"{reason}: {count}" for reason, count in sorted(report.skips.items()))

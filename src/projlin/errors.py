@@ -51,3 +51,7 @@ class MalformedLine(ProjlinError):
 
 class UnreadableInput(ProjlinError):
     """An input file cannot be opened, or is not UTF-8 text."""
+
+
+class UnwritableOutput(ProjlinError):
+    """An output file cannot be created."""

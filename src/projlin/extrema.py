@@ -97,7 +97,7 @@ def _attach_root(subtrees: Sequence[RootedTree]) -> RootedTree:
     out_degree = np.concatenate(
         [[0, len(subtrees)], *(sub.out_degree_array[1:] for sub in subtrees)], dtype=np.int64
     )
-    return RootedTree(n, 1, np.array(parent, dtype=np.int64), size, out_degree, None, None, None)
+    return RootedTree(n, 1, np.array(parent, dtype=np.int64), size, out_degree)
 
 
 def combine_forests(

@@ -9,15 +9,15 @@ and arrangement positions share the same 1-based range, so head vectors
 and CoNLL-U token ids line up without translation.
 
 Every constructor ends in one core that validates a parent array and
-computes the subtree sizes.  Below ``_DOUBLING_MIN_N`` vertices it runs a
-plain Python breadth-first pass; from there on it uses numpy pointer
-doubling: about log2(height) rounds, each one ``bincount`` and one gather
-over the whole array, and no loop over vertices or levels, so a path
-costs no more than a bushy tree of the same size.  The minimizing trees
-of ``extrema`` skip the core: they are assembled from subtrees already
-built, and are trees by construction.  A head-vector text of ASCII digits
-and whitespace is read by one ``np.fromstring`` call; any other text goes
-through ``str.split``, which names what is wrong with it.
+computes the subtree sizes by numpy pointer doubling: about log2(height)
+rounds, each one ``bincount`` and one gather over the whole array, and no
+loop over vertices or levels, so a path costs no more than a bushy tree
+of the same size, and a tree of any size takes the same path.  The
+minimizing trees of ``extrema`` skip the core: they are assembled from
+subtrees already built, and are trees by construction.  A head-vector
+text of ASCII digits and whitespace is read by one ``np.fromstring``
+call; any other text goes through ``str.split``, which names what is
+wrong with it.
 
 The module also provides the named tree classes used by the closed-form
 tables (stars, quasi-stars, linear trees), AHU-style canonical codes for
@@ -49,12 +49,6 @@ TREE_CLASSES = (
     "linear_k",
 )
 
-# Trees with fewer vertices are validated and measured by the Python pass:
-# numpy's fixed cost per call makes pointer doubling the slower of the two
-# up to about this size (on 2 vCPUs, random trees and paths alike cross
-# over between 64 and 192 vertices).
-_DOUBLING_MIN_N = 128
-
 # The characters of a head vector that np.fromstring reads as str.split
 # would: the ASCII digits and the six ASCII whitespace characters.
 _DIGITS_AND_SPACE = b"0123456789 \t\n\r\x0b\x0c"
@@ -66,8 +60,11 @@ class RootedTree:
     Instances are produced by :func:`build_tree` and :func:`tree_from_heads`
     (or the constructors built on them), which validate single headedness,
     connectedness and acyclicity, or are assembled from such trees by
-    ``extrema._attach_root``.  The arrays are read-only and the views
-    are tuples, so the object is safe to share between threads.
+    ``extrema._attach_root``.  Only the three arrays (and, for trees built
+    from links, the order the links came in) are stored; ``parent``,
+    ``children``, ``order`` and ``blocks`` are built from them on first
+    use and cached.  The arrays are read-only and the views are tuples,
+    so the object is safe to share between threads.
 
     Attributes:
         n: number of vertices.
@@ -97,9 +94,7 @@ class RootedTree:
         "_blocks",
     )
 
-    def __init__(
-        self, n, root, parent_array, size_array, out_degree_array, link_order, children, order
-    ):
+    def __init__(self, n, root, parent_array, size_array, out_degree_array, link_order=None):
         for array in (parent_array, size_array, out_degree_array):
             array.flags.writeable = False
         self.n = n
@@ -109,8 +104,8 @@ class RootedTree:
         self.out_degree_array = out_degree_array
         self._link_order = link_order
         self._parent = None
-        self._children = children
-        self._order = order
+        self._children = None
+        self._order = None
         self._blocks = None
 
     @property
@@ -234,30 +229,6 @@ def _block_plan(n: int, parent: np.ndarray, out_degree: np.ndarray):
     return tuple(plan)
 
 
-def _python_kernel(n: int, root: int, parent: list[int], link_order):
-    """Children lists, BFS order and subtree sizes by plain Python passes.
-
-    Raises CycleDetected when the breadth-first walk from the root misses
-    a vertex; the core has already made sure every other vertex has a
-    parent, so the missed ones hang off cycles.
-    """
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    for c in range(1, n + 1) if link_order is None else link_order:
-        children[parent[c]].append(c)
-    children[0] = []  # the root's parent slot
-    order = _bfs_order(root, children)
-    if len(order) != n:
-        raise CycleDetected("the unreachable vertices form one or more cycles")
-    size = [1] * (n + 1)
-    for v in reversed(order):
-        size[parent[v]] += size[v]  # the root harmlessly adds into slot 0
-    size[0] = 0
-    out_degree = [len(c) for c in children]
-    size_array = np.array(size, dtype=np.int64)
-    out_degree_array = np.array(out_degree, dtype=np.int64)
-    return size_array, out_degree_array, tuple(map(tuple, children)), order
-
-
 def _doubling_kernel(n: int, parent: np.ndarray):
     """Subtree sizes by pointer doubling, with cycle detection.
 
@@ -303,34 +274,24 @@ def _root_head_error(n: int, root: int, parent) -> Exception:
     return CycleDetected("the unreachable vertices form one or more cycles")
 
 
-def _tree_from_parent(n: int, root: int, parent, link_order=None) -> RootedTree:
+def _tree_from_parent(n: int, root: int, parent: np.ndarray, link_order=None) -> RootedTree:
     """The constructor core: validate a parent array and measure the tree.
 
-    ``parent`` (a list or an int64 array of length n + 1) must already hold
-    only ids in 0..n, no self-loops and a 0 in slot 0; 0 marks a vertex
-    without a parent.  ``link_order`` lists the children in the order of
-    their links (None means ascending ids).  Raises Disconnected or
-    CycleDetected.
+    ``parent`` (an int64 array of length n + 1) must already hold only ids
+    in 0..n, no self-loops and a 0 in slot 0; 0 marks a vertex without a
+    parent.  It becomes the tree's ``parent_array``.  ``link_order`` lists
+    the children in the order of their links (None means ascending ids).
+    Raises Disconnected or CycleDetected.
     """
-    if isinstance(parent, np.ndarray):
-        n_links = int(np.count_nonzero(parent))
-    else:
-        n_links = n + 1 - parent.count(0)
+    n_links = int(np.count_nonzero(parent))
     if n_links < n - 1:
         raise Disconnected(f"{n - 1} parent links needed to connect {n} vertices, got {n_links}")
     if parent[root]:
-        raise _root_head_error(n, root, parent)
-    if n < _DOUBLING_MIN_N:
-        if isinstance(parent, np.ndarray):
-            parent = parent.tolist()
-        size, out_degree, children, order = _python_kernel(n, root, parent, link_order)
-        parent_array = np.array(parent, dtype=np.int64)
-        return RootedTree(n, root, parent_array, size, out_degree, None, children, order)
-    parent = np.asarray(parent, dtype=np.int64)
+        raise _root_head_error(n, root, parent.tolist())
     size, out_degree = _doubling_kernel(n, parent)
     if link_order is not None:
         link_order = np.array(link_order, dtype=np.int64)
-    return RootedTree(n, root, parent, size, out_degree, link_order, None, None)
+    return RootedTree(n, root, parent, size, out_degree, link_order)
 
 
 def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTree:
@@ -355,7 +316,7 @@ def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTre
             raise MultipleHeads(f"vertex {child} has more than one parent")
         parent[child] = par
         link_order.append(child)
-    return _tree_from_parent(n, root, parent, link_order)
+    return _tree_from_parent(n, root, np.array(parent, dtype=np.int64), link_order)
 
 
 def tree_from_heads(heads: Sequence[int]) -> RootedTree:

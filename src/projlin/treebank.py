@@ -1,14 +1,17 @@
 """CoNLL-U ingestion and the per-sentence analysis pipeline.
 
 The parser turns each sentence into a rooted tree over its word tokens
-(multiword ranges and empty nodes are dropped, ids compacted to 1..n), so
-the surface token order is the identity arrangement of that tree.
+(multiword ranges and empty nodes are dropped, ids compacted to 1..n, the
+tree built from the compacted head vector), so the surface token order
+is the identity arrangement of that tree.
 Sentences that do not form a valid tree are reported as skip records with
 a reason instead of aborting the stream, since real treebanks contain
 annotation errors.
 
 The analysis step computes, per sentence, the observed edge-length sums
-under both definitions, the exact projective expectation, the number of
+under both definitions (in the identity arrangement the standard sum is
+the sum of |v - head(v)| over the parent array, and the minus-one sum is
+that less n - 1), the exact projective expectation, the number of
 projective arrangements, and seeded Monte Carlo estimates with their
 relative errors for each requested sample count.  Seeds are derived from
 the sentence index, so results do not depend on scheduling and the work
@@ -25,11 +28,11 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._digits import exact_str
-from .arrangement import LinearArrangement, count_projective, is_projective, sum_edge_lengths
-from .errors import ProjlinError
+from .arrangement import LinearArrangement, count_projective, is_projective
+from .errors import OutOfRange, ProjlinError
 from .expectation import expected_sum_projective
 from .montecarlo import ErrorStats, aggregate_errors, estimate_expected_sum, relative_error
-from .tree import RootedTree, _check_seed, build_tree
+from .tree import RootedTree, _check_seed, tree_from_heads
 
 
 class Token(NamedTuple):
@@ -91,24 +94,21 @@ def _finish_sentence(
     remap = {orig: i for i, (orig, _, _, _) in enumerate(tokens, start=1)}
     if len(remap) != len(tokens):
         return SkipRecord(sentence_id, "duplicate token id")
-    roots = [orig for orig, _, head, _ in tokens if head == 0]
+    roots = sum(1 for _, _, head, _ in tokens if head == 0)
     if not roots:
         return SkipRecord(sentence_id, "no root token")
-    if len(roots) > 1:
+    if roots > 1:
         return SkipRecord(sentence_id, "multiple root tokens")
-    links = []
+    heads = []
     compacted = []
     for orig, form, head, _ in tokens:
-        if head == 0:
-            compacted.append(Token(remap[orig], form, 0))
-            continue
-        if head not in remap:
+        if head and head not in remap:
             reason = "head refers to a removed token" if filter_punct else "head refers to a missing token"
             return SkipRecord(sentence_id, reason)
-        links.append((remap[orig], remap[head]))
-        compacted.append(Token(remap[orig], form, remap[head]))
+        heads.append(remap[head] if head else 0)
+        compacted.append(Token(remap[orig], form, heads[-1]))
     try:
-        tree = build_tree(len(tokens), links, remap[roots[0]])
+        tree = tree_from_heads(heads)
     except ProjlinError as exc:
         return SkipRecord(sentence_id, type(exc).__name__)
     return TreebankSentence(sentence_id, tuple(compacted), tree)
@@ -183,8 +183,8 @@ def _analyze_one(
     index, sentence, z_values, seed = payload
     tree = sentence.tree
     n = tree.n
-    surface = LinearArrangement.identity(n)
-    observed = sum_edge_lengths(tree, surface)
+    kids = np.flatnonzero(tree.parent_array)
+    observed = int(np.abs(kids - tree.parent_array[kids]).sum())
     exact = expected_sum_projective(tree)
     estimates = []
     for which, z in enumerate(z_values):
@@ -196,7 +196,7 @@ def _analyze_one(
         n=n,
         observed_standard=observed,
         observed_minus_one=observed - (n - 1),
-        projective=is_projective(tree, surface),
+        projective=is_projective(tree, LinearArrangement.identity(n)),
         arrangement_count=count_projective(tree),
         exact=exact,
         estimates=tuple(estimates),
@@ -215,12 +215,17 @@ def analyze_treebank(
     Skip records are tallied by reason.  Monte Carlo seeds are derived per
     (sentence index, z index), so any ``jobs`` value produces identical
     numbers.  Error statistics exclude single-vertex sentences, whose
-    exact expectation is zero.  A negative seed raises OutOfRange.
+    exact expectation is zero.  A negative seed, ``jobs`` below 1 or a z
+    value given twice raises OutOfRange.
     """
     _check_seed(seed)
+    if jobs < 1:
+        raise OutOfRange(f"jobs must be at least 1, got {jobs}")
     z_values = tuple(int(z) for z in z_values)
     if not z_values:
         raise ValueError("z_values must be nonempty")
+    if len(set(z_values)) != len(z_values):
+        raise OutOfRange(f"z values must be distinct, got {', '.join(map(str, z_values))}")
     skips: dict[str, int] = {}
     accepted: list[TreebankSentence] = []
     for item in sentences:

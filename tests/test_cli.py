@@ -279,3 +279,37 @@ def test_cli_import_leaves_out_the_process_pool():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def _one_sentence_corpus(tmp_path):
+    corpus = tmp_path / "two.conllu"
+    corpus.write_text("1\tw1\t_\tX\t_\t_\t0\t_\t_\t_\n2\tw2\t_\tX\t_\t_\t1\t_\t_\t_\n\n", encoding="utf-8")
+    return str(corpus)
+
+
+def test_analyze_jobs_below_one_are_out_of_range(tmp_path, capsys):
+    corpus = _one_sentence_corpus(tmp_path)
+    for jobs in ("0", "-2"):
+        code, out, err = run(
+            capsys, "analyze", "--input", corpus, "--jobs", jobs, "--out-prefix", str(tmp_path / "o")
+        )
+        assert code == EXIT_VALIDATION and out == "" and err.startswith("OutOfRange")
+        assert "jobs" in err
+    assert not (tmp_path / "o.sentences.csv").exists()
+
+
+def test_analyze_repeated_z_is_rejected(tmp_path, capsys):
+    corpus = _one_sentence_corpus(tmp_path)
+    code, out, err = run(
+        capsys, "analyze", "--input", corpus, "--z", "10,10", "--out-prefix", str(tmp_path / "o")
+    )
+    assert code == EXIT_VALIDATION and out == "" and err.startswith("OutOfRange")
+    assert not (tmp_path / "o.sentences.csv").exists()
+
+
+def test_analyze_unwritable_output_prefix(tmp_path, capsys):
+    corpus = _one_sentence_corpus(tmp_path)
+    prefix = str(tmp_path / "no" / "such" / "dir" / "x")
+    code, out, err = run(capsys, "analyze", "--input", corpus, "--z", "10", "--out-prefix", prefix)
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.startswith("UnwritableOutput") and "Traceback" not in err

@@ -1,7 +1,6 @@
 """Tree construction, validation, metrics, classes, and canonical codes."""
 
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,15 +207,35 @@ def _views(build):
     )
 
 
-def _both_kernels(build):
-    """Run a constructor with the Python pass, then with pointer doubling,
-    and require the same result from both."""
-    results = []
-    for cutoff in (10**9, 0):
-        with mock.patch.object(tree_module, "_DOUBLING_MIN_N", cutoff):
-            results.append(_views(build))
-    assert results[0] == results[1]
-    return results[0]
+def test_one_and_two_vertices_through_every_constructor():
+    # (parent, children, order, size, out_degree) of each tree
+    one = ((0, 0), ((), ()), (1,), (0, 1), (0, 0))
+    two_at_1 = ((0, 0, 1), ((), (2,), ()), (1, 2), (0, 2, 1), (0, 1, 0))
+    two_at_2 = ((0, 2, 0), ((), (), (1,)), (2, 1), (0, 1, 2), (0, 0, 1))
+    builds = [
+        (one, lambda: build_tree(1, [], 1)),
+        (one, lambda: tree_from_heads([0])),
+        (one, lambda: parse_head_vector("0")),
+        (one, lambda: make_class("star_hub", 1)),
+        (one, lambda: make_class("linear_k", 1)),
+        (one, lambda: random_tree(1, 5)),
+        (one, lambda: parse_head_vector("0 1 2").subtree(3)),
+        (two_at_1, lambda: build_tree(2, [(2, 1)], 1)),
+        (two_at_1, lambda: tree_from_heads([0, 1])),
+        (two_at_1, lambda: parse_head_vector("0 1")),
+        (two_at_1, lambda: make_class("star_hub", 2)),
+        (two_at_1, lambda: make_class("star_leaf", 2)),
+        (two_at_1, lambda: make_class("linear_k", 2, 1)),
+        (two_at_1, lambda: parse_head_vector("0 1 2").subtree(2)),
+        (two_at_1, lambda: parse_head_vector("2 0 2 1").subtree(1)),
+        (two_at_2, lambda: build_tree(2, [(1, 2)], 2)),
+        (two_at_2, lambda: tree_from_heads([2, 0])),
+        (two_at_2, lambda: parse_head_vector("2 0")),
+    ]
+    for want, build in builds:
+        assert _views(build) == want
+    random_twos = {_views(lambda: random_tree(2, seed)) for seed in range(20)}
+    assert random_twos == {two_at_1, two_at_2}
 
 
 @st.composite
@@ -237,8 +256,8 @@ def head_vectors(draw):
 @settings(max_examples=400, deadline=None)
 @given(head_vectors())
 def test_head_vectors_give_the_oracle_tree_or_a_named_error(heads):
-    got = _both_kernels(lambda: tree_from_heads(heads))
-    assert got == _both_kernels(lambda: parse_head_vector(" ".join(map(str, heads))))
+    got = _views(lambda: tree_from_heads(heads))
+    assert got == _views(lambda: parse_head_vector(" ".join(map(str, heads))))
     want = oracle_tree_from_heads(heads)
     if want is None:
         assert isinstance(got[0], str)  # an error's class name
@@ -254,7 +273,7 @@ def test_links_in_any_order_keep_their_order_in_children(heads, rnd):
     links = [(v, h) for v, h in enumerate(heads, start=1) if h]
     rnd.shuffle(links)
     root = heads.index(0) + 1
-    got = _both_kernels(lambda: build_tree(len(heads), links, root))
+    got = _views(lambda: build_tree(len(heads), links, root))
     parent, children, order, size, out_degree = got
     assert parent == (0,) + tuple(heads)
     for p in range(len(heads) + 1):
@@ -309,7 +328,7 @@ def head_vector_texts(draw):
 @example("0\xa01")
 def test_parsed_texts_give_the_oracle_tree_or_its_error(text):
     want = _views(lambda: oracle_parse_head_vector(text))
-    assert _both_kernels(lambda: parse_head_vector(text)) == want
+    assert _views(lambda: parse_head_vector(text)) == want
 
 
 @pytest.mark.parametrize("k", range(7, 13))
@@ -320,7 +339,7 @@ def test_doubling_on_paths_around_powers_of_two(k):
             parent = np.zeros(n + 1, dtype=np.int64)
             parent[labels[1:]] = labels[:-1]
             given_parent = parent.copy()
-            got = _both_kernels(lambda: tree_module._tree_from_parent(n, labels[0], parent))
+            got = _views(lambda: tree_module._tree_from_parent(n, labels[0], parent))
             assert np.array_equal(parent, given_parent)
             _, _, order, size, out_degree = got
             assert order == tuple(labels)
@@ -336,5 +355,5 @@ def test_doubling_finds_a_two_cycle_beside_a_path_and_above_one():
     for heads in (beside, above):
         parent = np.array([0] + heads, dtype=np.int64)
         assert np.count_nonzero(parent) == n - 1
-        got = _both_kernels(lambda: tree_module._tree_from_parent(n, 1, parent))
+        got = _views(lambda: tree_module._tree_from_parent(n, 1, parent))
         assert got == ("CycleDetected", "the unreachable vertices form one or more cycles")

@@ -22,11 +22,12 @@ from projlin import (
     random_tree,
     sample_projective,
     sum_edge_lengths,
+    tree_from_heads,
     write_sentence_csv,
     write_summary_csv,
 )
-import projlin.tree as tree_module
 from projlin.treebank import _analyze_one
+from helpers import oracle_edge_sum
 
 
 def conllu(text):
@@ -182,6 +183,51 @@ def test_any_lines_give_one_tree_or_skip_record_per_sentence(lines):
             assert record.tree.parent[1:] == tuple(token.head for token in record.tokens)
 
 
+@st.composite
+def conllu_trees(draw):
+    """A tree of up to 30 tokens as CoNLL-U lines, with leaves marked
+    PUNCT at random, multiword ranges and empty nodes between the tokens;
+    returns the lines, whether to filter punctuation, and the compacted
+    head vector the kept tokens must get."""
+    n = draw(st.integers(1, 30))
+    labels = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * (n + 1)
+    for i in range(1, n):
+        heads[labels[i]] = labels[draw(st.integers(0, i - 1))]
+    leaves = sorted(set(range(1, n + 1)) - set(heads) - {labels[0]})
+    punct = draw(st.sets(st.sampled_from(leaves))) if leaves else set()
+    lines = []
+    for v in range(1, n + 1):
+        if v < n and draw(st.booleans()):
+            lines.append(token_line(f"{v}-{v + 1}", "ww", "_"))
+        lines.append(token_line(v, f"w{v}", heads[v], "PUNCT" if v in punct else "X"))
+        if draw(st.booleans()):
+            lines.append(token_line(f"{v}.1", "e", "_"))
+    filter_punct = draw(st.booleans())
+    kept = [v for v in range(1, n + 1) if not (filter_punct and v in punct)]
+    new_id = {v: i for i, v in enumerate(kept, start=1)}
+    return lines, filter_punct, [new_id[heads[v]] if heads[v] else 0 for v in kept]
+
+
+@settings(max_examples=150, deadline=None)
+@given(conllu_trees())
+def test_conllu_trees_are_the_trees_of_their_compacted_heads(case):
+    lines, filter_punct, compacted = case
+    (sentence,) = parse_conllu(io.StringIO("\n".join(lines) + "\n\n"), filter_punct)
+    assert isinstance(sentence, TreebankSentence)
+    assert [token.head for token in sentence.tokens] == compacted
+    want = tree_from_heads(compacted)
+    assert sentence.tree == want
+    assert np.array_equal(sentence.tree.size_array, want.size_array)
+    assert np.array_equal(sentence.tree.out_degree_array, want.out_degree_array)
+    assert (sentence.tree.children, sentence.tree.order) == (want.children, want.order)
+    n = sentence.tree.n
+    analysis = _analyze_one((0, sentence, (10,), 1))
+    observed = oracle_edge_sum(sentence.tree, LinearArrangement.identity(n))
+    assert analysis.observed_standard == observed
+    assert analysis.observed_minus_one == observed - (n - 1)
+
+
 def test_projective_sentence_fixture_observed_sum():
     # 8 tokens whose surface order yields a projective tree with total 12
     heads = (2, 3, 0, 7, 4, 7, 3, 7)
@@ -228,11 +274,9 @@ def _synthetic_corpus(count, seed, sizes=(3, 26)):
 
 
 def test_analyze_treebank_basics():
-    # the last sentence is long enough for the tree to be built by pointer
-    # doubling rather than by the Python pass
+    # the last sentence is much longer than the others
     text = _synthetic_corpus(12, 7) + _synthetic_corpus(1, 8, sizes=(128, 200))
     parsed = conllu(text)
-    assert parsed[-1].tree.n >= tree_module._DOUBLING_MIN_N
     report = analyze_treebank(parsed, z_values=(10, 100), seed=5)
     assert len(report.sentences) == 13
     assert report.skips == {}
@@ -252,6 +296,15 @@ def test_analyze_negative_seed_is_out_of_range():
     for text in (_synthetic_corpus(4, 7), token_line(1, "yes", 0) + "\n\n"):
         with pytest.raises(OutOfRange):
             analyze_treebank(conllu(text), z_values=(10,), seed=-1)
+
+
+def test_analyze_rejects_jobs_below_one_and_repeated_z():
+    sentences = conllu(_synthetic_corpus(4, 7))
+    for jobs in (0, -2):
+        with pytest.raises(OutOfRange, match="jobs"):
+            analyze_treebank(sentences, z_values=(10,), jobs=jobs)
+    with pytest.raises(OutOfRange, match="distinct"):
+        analyze_treebank(sentences, z_values=(10, 100, 10))
 
 
 def test_analyze_deterministic_and_parallel_identical():
