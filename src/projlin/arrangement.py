@@ -44,9 +44,6 @@ class LinearArrangement:
     __slots__ = ("pos", "inverse")
 
     def __init__(self, positions: Sequence[int]):
-        if isinstance(positions, np.ndarray):
-            self._init_from_array(positions)
-            return
         pos = (0,) + tuple(int(p) for p in positions)
         n = len(pos) - 1
         inverse = [0] * (n + 1)
@@ -58,29 +55,15 @@ class LinearArrangement:
         self.pos = pos
         self.inverse = tuple(inverse)
 
-    def _init_from_array(self, positions: np.ndarray) -> None:
-        """The same checks in bulk, for an integer array of positions."""
-        n = positions.size
-        if n and not 1 <= positions.min() <= positions.max() <= n:
-            raise ValueError(f"positions are not a bijection onto 1..{n}")
-        if np.count_nonzero(self._store(positions)) != n:
-            raise ValueError(f"positions are not a bijection onto 1..{n}")
-
-    def _store(self, positions: np.ndarray) -> np.ndarray:
-        """Set both tuples from an array of positions; returns the inverse
-        array, in which a position no vertex took reads 0."""
-        inverse = np.zeros(positions.size + 1, dtype=np.int64)
-        inverse[positions] = np.arange(1, positions.size + 1)
-        self.pos = (0,) + tuple(positions.tolist())
-        self.inverse = tuple(inverse.tolist())
-        return inverse
-
     @classmethod
     def _of_bijection(cls, positions: np.ndarray) -> "LinearArrangement":
         """Wrap an int array of positions that is a bijection onto 1..n by
         construction, without the checks of the public constructors."""
+        inverse = np.zeros(positions.size + 1, dtype=np.int64)
+        inverse[positions] = np.arange(1, positions.size + 1)
         arrangement = cls.__new__(cls)
-        arrangement._store(positions)
+        arrangement.pos = (0,) + tuple(positions.tolist())
+        arrangement.inverse = tuple(inverse.tolist())
         return arrangement
 
     @classmethod

@@ -33,6 +33,9 @@ _CHUNK_CELLS = 4_000_000
 # Keep each block of bootstrap indices around 8 MB regardless of group size.
 _BOOTSTRAP_CELLS = 1_000_000
 
+# Coverage of the bootstrap interval of the mean relative error.
+CONFIDENCE = 0.99
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -107,16 +110,15 @@ def aggregate_errors(
     records: Iterable[tuple[int, float]],
     resamples: int = 1000,
     seed: int = 0,
-    confidence: float = 0.99,
 ) -> list[ErrorStats]:
     """Group (tree size, relative error) records and summarize per size.
 
-    The confidence interval of the mean is a seeded percentile bootstrap
-    with the given number of resamples; a single record yields the
-    degenerate interval at its own value.  The resample indices are drawn
-    in blocks of rows of about ``_BOOTSTRAP_CELLS`` cells, so memory stays
-    bounded however many records share one size.  A negative seed raises
-    OutOfRange.
+    The ``CONFIDENCE`` interval of the mean is a seeded percentile
+    bootstrap with the given number of resamples; a single record yields
+    the degenerate interval at its own value.  The resample indices are
+    drawn in blocks of rows of about ``_BOOTSTRAP_CELLS`` cells, so memory
+    stays bounded however many records share one size.  A negative seed
+    raises OutOfRange.
     """
     _check_seed(seed)
     grouped: dict[int, list[float]] = {}
@@ -124,9 +126,7 @@ def aggregate_errors(
         grouped.setdefault(n, []).append(err)
     if not grouped:
         raise ValueError("no error records to aggregate")
-    if not 0 < confidence < 1:
-        raise OutOfRange(f"confidence must be in (0, 1), got {confidence}")
-    tail = 100 * (1 - confidence) / 2
+    tail = 100 * (1 - CONFIDENCE) / 2
     out = []
     for n in sorted(grouped):
         data = np.asarray(grouped[n], dtype=np.float64)

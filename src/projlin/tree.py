@@ -2,11 +2,12 @@
 
 A rooted tree is stored as three numpy arrays, computed once when it is
 built: the parent of every vertex, the size of every subtree and every
-out-degree.  The tuple views that Python loops read (parents, children
-lists in link order, breadth-first order) and the block plan the
-projective sampler reads are built on first use and cached.  Vertex ids
-and arrangement positions share the same 1-based range, so head vectors
-and CoNLL-U token ids line up without translation.
+out-degree.  The parent array is the only form a tree takes: the tuple
+views that Python loops read (parents, ascending children lists,
+breadth-first order) and the block plan the projective sampler reads are
+built from the arrays on first use and cached.  Vertex ids and
+arrangement positions share the same 1-based range, so head vectors and
+CoNLL-U token ids line up without translation.
 
 Every constructor ends in one core that validates a parent array and
 computes the subtree sizes by numpy pointer doubling: about log2(height)
@@ -60,11 +61,10 @@ class RootedTree:
     Instances are produced by :func:`build_tree` and :func:`tree_from_heads`
     (or the constructors built on them), which validate single headedness,
     connectedness and acyclicity, or are assembled from such trees by
-    ``extrema._attach_root``.  Only the three arrays (and, for trees built
-    from links, the order the links came in) are stored; ``parent``,
-    ``children``, ``order`` and ``blocks`` are built from them on first
-    use and cached.  The arrays are read-only and the views are tuples,
-    so the object is safe to share between threads.
+    ``extrema._attach_root``.  Only the three arrays are stored;
+    ``parent``, ``children``, ``order`` and ``blocks`` are built from them
+    on first use and cached.  The arrays are read-only and the views are
+    tuples, so the object is safe to share between threads.
 
     Attributes:
         n: number of vertices.
@@ -74,8 +74,8 @@ class RootedTree:
         size_array: int64 array of subtree sizes (index 0 holds 0).
         out_degree_array: int64 array of child counts (index 0 holds 0).
         parent: ``parent_array`` as a tuple of ints.
-        children: ``children[v]`` is the tuple of children of ``v`` in the
-            order their links were given (ascending for head vectors).
+        children: ``children[v]`` is the tuple of children of ``v``, in
+            ascending order.
         order: all vertices in breadth-first order from the root.
         blocks: the segment ids of every block of two or more segments,
             grouped by size (see :func:`_block_plan`).
@@ -87,14 +87,13 @@ class RootedTree:
         "parent_array",
         "size_array",
         "out_degree_array",
-        "_link_order",
         "_parent",
         "_children",
         "_order",
         "_blocks",
     )
 
-    def __init__(self, n, root, parent_array, size_array, out_degree_array, link_order=None):
+    def __init__(self, n, root, parent_array, size_array, out_degree_array):
         for array in (parent_array, size_array, out_degree_array):
             array.flags.writeable = False
         self.n = n
@@ -102,7 +101,6 @@ class RootedTree:
         self.parent_array = parent_array
         self.size_array = size_array
         self.out_degree_array = out_degree_array
-        self._link_order = link_order
         self._parent = None
         self._children = None
         self._order = None
@@ -117,9 +115,7 @@ class RootedTree:
     @property
     def children(self) -> tuple[tuple[int, ...], ...]:
         if self._children is None:
-            kids = self._link_order
-            if kids is None:
-                kids = np.flatnonzero(self.parent_array)
+            kids = np.flatnonzero(self.parent_array)
             kids = kids[np.argsort(self.parent_array[kids], kind="stable")].tolist()
             children = []
             start = 0
@@ -149,7 +145,8 @@ class RootedTree:
         """Extract the subtree rooted at ``v`` as a tree of its own.
 
         Vertices are relabeled 1..m in breadth-first discovery order, so
-        the result's root is vertex 1 and children orders are preserved.
+        the result's root is vertex 1 and its children lists keep the
+        order of this tree's (ascending) ones.
         """
         if not 1 <= v <= self.n:
             raise OutOfRange(f"vertex {v} not in 1..{self.n}")
@@ -274,14 +271,13 @@ def _root_head_error(n: int, root: int, parent) -> Exception:
     return CycleDetected("the unreachable vertices form one or more cycles")
 
 
-def _tree_from_parent(n: int, root: int, parent: np.ndarray, link_order=None) -> RootedTree:
+def _tree_from_parent(n: int, root: int, parent: np.ndarray) -> RootedTree:
     """The constructor core: validate a parent array and measure the tree.
 
     ``parent`` (an int64 array of length n + 1) must already hold only ids
     in 0..n, no self-loops and a 0 in slot 0; 0 marks a vertex without a
-    parent.  It becomes the tree's ``parent_array``.  ``link_order`` lists
-    the children in the order of their links (None means ascending ids).
-    Raises Disconnected or CycleDetected.
+    parent.  It becomes the tree's ``parent_array``.  Raises Disconnected
+    or CycleDetected.
     """
     n_links = int(np.count_nonzero(parent))
     if n_links < n - 1:
@@ -289,24 +285,21 @@ def _tree_from_parent(n: int, root: int, parent: np.ndarray, link_order=None) ->
     if parent[root]:
         raise _root_head_error(n, root, parent.tolist())
     size, out_degree = _doubling_kernel(n, parent)
-    if link_order is not None:
-        link_order = np.array(link_order, dtype=np.int64)
-    return RootedTree(n, root, parent, size, out_degree, link_order)
+    return RootedTree(n, root, parent, size, out_degree)
 
 
 def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTree:
     """Build and validate a rooted tree from (child, parent) links.
 
-    The children lists keep the order in which links are given.  Raises
-    MultipleHeads, CycleDetected, Disconnected, BadRoot, or OutOfRange,
-    naming the violated condition.
+    The links may come in any order; only the parent of each vertex is
+    kept.  Raises MultipleHeads, CycleDetected, Disconnected, BadRoot, or
+    OutOfRange, naming the violated condition.
     """
     if n < 1:
         raise UnsupportedSize(f"a tree needs at least one vertex, got n={n}")
     if not 1 <= root <= n:
         raise BadRoot(f"root {root} not in 1..{n}")
     parent = [0] * (n + 1)
-    link_order = []
     for child, par in links:
         if not (1 <= child <= n and 1 <= par <= n):
             raise OutOfRange(f"link ({child}, {par}) not within 1..{n}")
@@ -315,8 +308,7 @@ def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTre
         if parent[child]:
             raise MultipleHeads(f"vertex {child} has more than one parent")
         parent[child] = par
-        link_order.append(child)
-    return _tree_from_parent(n, root, np.array(parent, dtype=np.int64), link_order)
+    return _tree_from_parent(n, root, np.array(parent, dtype=np.int64))
 
 
 def tree_from_heads(heads: Sequence[int]) -> RootedTree:
@@ -468,34 +460,29 @@ def random_tree(n: int, seed) -> RootedTree:
     """Uniformly random labeled rooted tree on n vertices.
 
     Draws a uniform labeled free tree from its Pruefer sequence and roots
-    it at an independently uniform vertex.  ``seed`` may be an int or a
-    ``numpy.random.Generator``; the result is deterministic given both.
+    it at an independently uniform vertex, drawn first.  Decoding hangs
+    each removed leaf below the vertex it joins, which roots the tree at
+    n; reversing the path from the chosen root up to n moves the root.
+    ``seed`` may be an int or a ``numpy.random.Generator``; the result is
+    deterministic given both.
     """
     if n < 1:
         raise UnsupportedSize(f"n must be positive, got {n}")
     rng = _generator(seed)
     if n == 1:
-        return build_tree(1, [], 1)
+        return tree_from_heads([0])
     root = int(rng.integers(1, n + 1))
-    if n == 2:
-        return build_tree(2, [(2, 1)] if root == 1 else [(1, 2)], root)
-
     seq = rng.integers(1, n + 1, size=n - 2).tolist()
     degree = [1] * (n + 1)
     for x in seq:
         degree[x] += 1
-    adjacency: list[list[int]] = [[] for _ in range(n + 1)]
-
-    def connect(a: int, b: int) -> None:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-
+    parent = [0] * (n + 1)
     ptr = 1
     while degree[ptr] != 1:
         ptr += 1
     leaf = ptr
     for x in seq:
-        connect(leaf, x)
+        parent[leaf] = x
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
@@ -504,19 +491,8 @@ def random_tree(n: int, seed) -> RootedTree:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    connect(leaf, n)
-
-    links = []
-    visited = bytearray(n + 1)
-    visited[root] = 1
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in adjacency[v]:
-                if not visited[u]:
-                    visited[u] = 1
-                    links.append((u, v))
-                    nxt.append(u)
-        frontier = nxt
-    return build_tree(n, links, root)
+    parent[leaf] = n
+    prev, v = 0, root
+    while v:
+        parent[v], prev, v = prev, v, parent[v]
+    return tree_from_heads(parent[1:])

@@ -208,22 +208,21 @@ def analyze_treebank(
     z_values: Sequence[int],
     seed: int = 0,
     jobs: int = 1,
-    bootstrap_resamples: int = 1000,
 ) -> TreebankReport:
     """Run the full per-sentence analysis over a parsed sentence stream.
 
     Skip records are tallied by reason.  Monte Carlo seeds are derived per
     (sentence index, z index), so any ``jobs`` value produces identical
     numbers.  Error statistics exclude single-vertex sentences, whose
-    exact expectation is zero.  A negative seed, ``jobs`` below 1 or a z
-    value given twice raises OutOfRange.
+    exact expectation is zero.  A negative seed, ``jobs`` below 1, an
+    empty ``z_values`` or a z value given twice raises OutOfRange.
     """
     _check_seed(seed)
     if jobs < 1:
         raise OutOfRange(f"jobs must be at least 1, got {jobs}")
     z_values = tuple(int(z) for z in z_values)
     if not z_values:
-        raise ValueError("z_values must be nonempty")
+        raise OutOfRange("z_values must be nonempty")
     if len(set(z_values)) != len(z_values):
         raise OutOfRange(f"z values must be distinct, got {', '.join(map(str, z_values))}")
     skips: dict[str, int] = {}
@@ -252,7 +251,7 @@ def analyze_treebank(
             for a in analyses
             if a.estimates[which][2] is not None
         ]
-        error_stats[z] = aggregate_errors(records, bootstrap_resamples, seed) if records else []
+        error_stats[z] = aggregate_errors(records, seed=seed) if records else []
     return TreebankReport(analyses, error_stats, skips)
 
 

@@ -24,7 +24,12 @@ from projlin import (
     random_tree,
     tree_from_heads,
 )
-from helpers import all_labeled_rooted_trees, oracle_parse_head_vector, oracle_tree_from_heads
+from helpers import (
+    all_labeled_rooted_trees,
+    oracle_parse_head_vector,
+    oracle_tree_from_heads,
+    tree_from_pruefer,
+)
 
 
 def test_single_vertex():
@@ -192,6 +197,28 @@ def test_random_tree_determinism_and_validity():
     assert a.size_array[a.root] == 40
 
 
+def test_random_tree_matches_the_pruefer_oracle():
+    # random_tree draws the root first, then the Pruefer sequence
+    def oracle(n, rng):
+        if n == 1:
+            return build_tree(1, [], 1)
+        root = int(rng.integers(1, n + 1))
+        sequence = rng.integers(1, n + 1, size=n - 2).tolist()
+        return tree_from_pruefer(sequence, n, root)
+
+    for seed in range(5):
+        for n in range(1, 61):
+            got = random_tree(n, seed)
+            want = oracle(n, np.random.default_rng(seed))
+            assert got == want
+    shared, replay = np.random.default_rng(77), np.random.default_rng(77)
+    for n in list(range(1, 61)) * 3:
+        got = random_tree(n, shared)
+        want = oracle(n, replay)
+        assert got == want
+    assert shared.integers(2**62) == replay.integers(2**62)
+
+
 def _views(build):
     """What a constructor gives: the tree's views, or the error it raised."""
     try:
@@ -267,19 +294,16 @@ def test_head_vectors_give_the_oracle_tree_or_a_named_error(heads):
 
 @settings(max_examples=200, deadline=None)
 @given(head_vectors(), st.randoms(use_true_random=False))
-def test_links_in_any_order_keep_their_order_in_children(heads, rnd):
+def test_links_in_any_order_give_the_tree_of_their_heads(heads, rnd):
+    # the link order is not kept: children come out ascending, as from
+    # the head vector
     if oracle_tree_from_heads(heads) is None:
         return
     links = [(v, h) for v, h in enumerate(heads, start=1) if h]
     rnd.shuffle(links)
     root = heads.index(0) + 1
     got = _views(lambda: build_tree(len(heads), links, root))
-    parent, children, order, size, out_degree = got
-    assert parent == (0,) + tuple(heads)
-    for p in range(len(heads) + 1):
-        assert children[p] == tuple(c for c, h in links if h == p)
-    assert size[root] == len(heads) and sum(out_degree) == len(heads) - 1
-    assert order[0] == root and sorted(order) == list(range(1, len(heads) + 1))
+    assert got == _views(lambda: tree_from_heads(heads))
 
 
 _WHITESPACE = " \t\n\r\x0b\x0c"

@@ -307,6 +307,11 @@ def test_analyze_rejects_jobs_below_one_and_repeated_z():
         analyze_treebank(sentences, z_values=(10, 100, 10))
 
 
+def test_analyze_rejects_empty_z_values():
+    with pytest.raises(OutOfRange, match="nonempty"):
+        analyze_treebank(conllu(_synthetic_corpus(4, 7)), z_values=())
+
+
 def test_analyze_deterministic_and_parallel_identical():
     text = _synthetic_corpus(10, 11)
     a = analyze_treebank(conllu(text), z_values=(10, 50), seed=3)
