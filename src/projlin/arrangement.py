@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, SizeMismatch
+from .errors import CapExceeded, OutOfRange, SizeMismatch
 from .tree import RootedTree, _generator
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -32,6 +32,9 @@ VARIANTS = ("standard", "minus_one")
 # Blocks of up to this many segments are ordered by comparing every pair of
 # keys, larger ones (stars and the like) by a sort of their own rows.
 _PAIRWISE_MAX_SEGMENTS = 8
+
+# Keep each matrix of sampled keys or offsets around 32 MB for any tree size.
+_CHUNK_CELLS = 4_000_000
 
 
 class LinearArrangement:
@@ -50,7 +53,7 @@ class LinearArrangement:
         for v in range(1, n + 1):
             p = pos[v]
             if not 1 <= p <= n or inverse[p]:
-                raise ValueError(f"positions are not a bijection onto 1..{n}")
+                raise OutOfRange(f"positions are not a bijection onto 1..{n}")
             inverse[p] = v
         self.pos = pos
         self.inverse = tuple(inverse)
@@ -78,7 +81,7 @@ class LinearArrangement:
         pos = [0] * n
         for p, v in enumerate(seq, start=1):
             if not 1 <= v <= n or pos[v - 1]:
-                raise ValueError(f"vertex sequence is not a permutation of 1..{n}")
+                raise OutOfRange(f"vertex sequence is not a permutation of 1..{n}")
             pos[v - 1] = p
         return cls(pos)
 
@@ -115,7 +118,7 @@ def sum_edge_lengths(
     standard sum minus (n - 1).
     """
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise OutOfRange(f"unknown variant {variant!r}")
     _check_same_size(tree, arrangement)
     pos = arrangement.pos
     parent = tree.parent
@@ -235,54 +238,50 @@ def enumerate_projective(
         yield LinearArrangement.from_inverse(sequence)
 
 
-def _segment_offsets(
-    tree: RootedTree, z: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def _segment_offsets(tree: RootedTree, z: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Offset of every segment inside its block, for z independent draws.
 
     Every vertex v owns a block of d_v + 1 segments: v itself and the
-    subtree of each child.  Returns ``kids``, every vertex but the root,
-    and a (z, 2n - 1) int64 matrix whose column v - 1 holds the offset of
-    v's own slot in block v and whose column n + j holds the offset of the
-    subtree of kids[j] in its parent's block.
+    subtree of each child.  Yields (rows, 2n - 1) int64 chunks, z rows in
+    all, whose column v - 1 holds the offset of v's own slot in block v and
+    whose column n + j holds the offset of the subtree of the j-th non-root
+    vertex in its parent's block.
 
     A draw gives each segment an independent uniform 64-bit key, one
     ``rng.integers`` row, and orders every block by key: a segment's
     offset is the total length of the segments of its own block with
-    smaller keys.  A row in which two segments of one block drew the same
-    key is dropped and more rows are drawn, so the result is the first z
-    rows of the stream without such a tie, in stream order.  Given no tie
-    the keys of a block are exchangeable, so each block's order is exactly
-    uniform and independent of the others; and a draw does not depend on
-    how many rows are drawn with it.
+    smaller keys.  Up to ``_CHUNK_CELLS // (2n - 1)`` rows are drawn at a
+    time, the rows where two segments of one block drew the same key are
+    dropped, and the rest, if any, is yielded: the first z tie-free rows of
+    the stream, in order.  Given no tie the keys of a block are
+    exchangeable, so each block's order is exactly uniform and independent
+    of the others; and a draw does not depend on how many rows are drawn
+    with it.
     """
     n = tree.n
-    kids = np.flatnonzero(tree.parent_array)
     length = np.ones(2 * n - 1, dtype=np.int64)
-    length[n:] = tree.size_array[kids]
-    parts = []
+    length[n:] = tree.size_array[np.flatnonzero(tree.parent_array)]
+    chunk = max(1, _CHUNK_CELLS // (2 * n - 1))
     while z:
-        keys = rng.integers(0, 2**64, size=(z, 2 * n - 1), dtype=np.uint64)
-        offsets, tied = _ordered_blocks(tree.blocks, length, keys)
-        if tied is not None:
-            offsets = offsets[~tied]
-        parts.append(offsets)
-        z -= len(offsets)
-    return kids, parts[0] if len(parts) == 1 else np.concatenate(parts)
+        keys = rng.integers(0, 2**64, size=(min(z, chunk), 2 * n - 1), dtype=np.uint64)
+        offsets = _ordered_blocks(tree.blocks, length, keys)
+        if len(offsets):
+            z -= len(offsets)
+            yield offsets
+        del keys, offsets  # hold no chunk while the next is drawn
 
 
 def _ordered_blocks(
     blocks: tuple[np.ndarray, ...], length: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Segment offsets for rows of keys, and a mask of the rows with a tie
-    in some block (None when there is no tie).
+) -> np.ndarray:
+    """Segment offsets for the rows of keys without a tie in any block.
 
     The blocks of one size are handled together, from the plan in
     ``tree.blocks``: a leaf's block needs nothing (offset 0), two segments
     one comparison, up to ``_PAIRWISE_MAX_SEGMENTS`` segments a comparison
     of every pair, and larger blocks a sort of their own rows.  Each group
     is checked for equal keys at once, by the same comparisons; only a
-    group where that check fires is searched for the tied rows.
+    group where that check fires is searched for the tied rows to drop.
     """
     out = np.zeros(keys.shape, dtype=np.int64)
     tied = None
@@ -318,32 +317,37 @@ def _ordered_blocks(
             ranked = np.sort(key, axis=2)
             rows = (ranked[..., 1:] == ranked[..., :-1]).any(axis=(1, 2))
             tied = rows if tied is None else tied | rows
-    return out, tied
+    return out if tied is None else out[~tied]
 
 
-def sample_projective(tree: RootedTree, seed) -> LinearArrangement:
-    """Draw one arrangement uniformly from the projective set.
+def _positions(tree: RootedTree, offsets: np.ndarray) -> np.ndarray:
+    """Positions of vertices 1..n, one row per row of segment offsets.
 
-    The one-draw case of :func:`_segment_offsets`, which orders each block
-    by 64-bit random keys and redraws the whole row in the rare case (about
-    one in 2^64 per pair of segments in a block) that two keys of one block
-    are equal.  A block starts at 1 plus the offsets of the child segments
-    on the path from its vertex up to the root, summed by pointer doubling,
-    and a vertex sits at its own offset from the start of its block; the
-    positions are a bijection by construction and are not checked again.
-    ``seed`` may be a non-negative int or a ``numpy.random.Generator``
-    (pass a generator to draw several samples from one stream).
+    A block starts at 1 plus the offsets of the child segments on the path
+    from its vertex up to the root: pointer doubling sums them in an
+    (n + 1, rows) start matrix, whose gathers by vertex read whole rows.  A
+    vertex sits at its own offset from the start of its block, so each row
+    is a bijection onto 1..n.
     """
-    rng = _generator(seed)
     n = tree.n
-    kids, (offset,) = _segment_offsets(tree, 1, rng)
-    # Doubling turns start[v] into the sum of these values from v up to the
-    # root, whose block starts at position 1.
-    start = np.zeros(n + 1, dtype=np.int64)
-    start[kids] = offset[n:]
+    start = np.zeros((n + 1, len(offsets)), dtype=np.int64)
+    start[np.flatnonzero(tree.parent_array)] = offsets[:, n:].T
     start[tree.root] = 1
     jump = tree.parent_array
     while np.count_nonzero(jump):
         start += start[jump]
         jump = jump[jump]
-    return LinearArrangement._of_bijection(start[1:] + offset[:n])
+    return start[1:].T + offsets[:, :n]
+
+
+def sample_projective(tree: RootedTree, seed) -> LinearArrangement:
+    """Draw one arrangement uniformly from the projective set.
+
+    The :func:`_positions` of the one row that :func:`_segment_offsets`
+    yields for z = 1; a row with two equal keys in one block (about one in
+    2^64 per pair of segments) is redrawn.  ``seed`` may be a non-negative
+    int or a ``numpy.random.Generator`` (pass a generator to draw several
+    samples from one stream).
+    """
+    (offsets,) = _segment_offsets(tree, 1, _generator(seed))
+    return LinearArrangement._of_bijection(_positions(tree, offsets)[0])

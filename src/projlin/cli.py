@@ -85,16 +85,14 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> UnreadableInput:
 
 
 def _tree_from_args(args):
-    if getattr(args, "tree_file", None):
-        with _open_input(args.tree_file) as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(args.tree_file, exc) from None
-        return parse_head_vector(text)
-    if getattr(args, "tree", None) is None:
-        raise ProjlinError("a tree is required: pass --tree or --tree-file")
-    return parse_head_vector(args.tree)
+    if args.tree_file is None:
+        return parse_head_vector(args.tree)
+    with _open_input(args.tree_file) as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(args.tree_file, exc) from None
+    return parse_head_vector(text)
 
 
 def _resolve_seed(args) -> int:
@@ -113,8 +111,9 @@ def _resolve_seed(args) -> int:
 
 
 def _add_tree_options(parser):
-    parser.add_argument("--tree", help="head vector, e.g. '0 1 1 2'")
-    parser.add_argument("--tree-file", help="file containing a head vector")
+    tree = parser.add_mutually_exclusive_group(required=True)
+    tree.add_argument("--tree", help="head vector, e.g. '0 1 1 2'")
+    tree.add_argument("--tree-file", help="file containing a head vector")
 
 
 def _cmd_expected(args) -> int:
@@ -144,10 +143,12 @@ def _cmd_sample(args) -> int:
         estimate = estimate_expected_sum(tree, args.z, seed)
         print(repr(estimate.mean))
         return EXIT_OK
-    rng = np.random.default_rng(seed)
-    for _ in range(args.z):
-        arrangement = arr.sample_projective(tree, rng)
-        print(" ".join(map(str, arrangement.inverse[1:])))
+    vertices = np.arange(1, tree.n + 1)
+    for offsets in arr._segment_offsets(tree, args.z, np.random.default_rng(seed)):
+        positions = arr._positions(tree, offsets)
+        rows = np.empty_like(positions)  # row r: draw r's vertices by position
+        np.put_along_axis(rows, positions - 1, vertices, axis=1)
+        print("\n".join(" ".join(map(str, row.tolist())) for row in rows))
     return EXIT_OK
 
 
@@ -178,9 +179,7 @@ def _cmd_analyze(args) -> int:
     try:
         z_values = [int(tok) for tok in args.z.split(",") if tok.strip()]
     except ValueError:
-        raise ProjlinError(f"--z must be a comma-separated list of integers: {args.z!r}") from None
-    if not z_values or any(z < 1 for z in z_values):
-        raise ProjlinError("--z needs at least one positive sample count")
+        raise OutOfRange(f"--z must be a comma-separated list of integers: {args.z!r}") from None
     seed = _resolve_seed(args)
     prefix = args.out_prefix or os.path.splitext(args.input)[0]
     with _open_input(args.input) as fh:
@@ -281,7 +280,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("expected", parents=[], help="exact expected edge-length sum")
     _add_tree_options(p)
-    p.add_argument("--variant", choices=["standard", "minus_one"], default="standard")
+    p.add_argument("--variant", choices=arr.VARIANTS, default="standard")
     p.add_argument("--decimal", type=int, default=None, metavar="DIGITS")
     p.set_defaults(func=_cmd_expected)
 

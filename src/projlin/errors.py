@@ -29,8 +29,8 @@ class SizeMismatch(ProjlinError):
     """A tree and an arrangement do not cover the same vertex set."""
 
 
-class OutOfRange(ProjlinError):
-    """A numeric argument is outside its documented domain."""
+class OutOfRange(ProjlinError, ValueError):
+    """An argument is outside its documented domain (also a ValueError)."""
 
 
 class UnsupportedSize(ProjlinError):

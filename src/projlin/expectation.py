@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .arrangement import VARIANTS
 from .errors import OutOfRange
 from .tree import RootedTree, _check_class_args
 
@@ -56,8 +57,8 @@ def expected_sum_projective(tree: RootedTree, variant: str = "standard") -> Frac
     ``variant="minus_one"`` uses the edge-length definition that ignores
     the endpoints, which simply shifts the result down by n - 1.
     """
-    if variant not in ("standard", "minus_one"):
-        raise ValueError(f"unknown variant {variant!r}")
+    if variant not in VARIANTS:
+        raise OutOfRange(f"unknown variant {variant!r}")
     numerator = _closed_numerator(tree)
     if variant == "minus_one":
         numerator += 6 - 6 * tree.n

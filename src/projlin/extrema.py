@@ -113,14 +113,14 @@ def combine_forests(
     trees are isomorphic.
     """
     if len(part_sizes) != len(per_size_trees):
-        raise ValueError("part_sizes and per_size_trees must have equal length")
+        raise OutOfRange("part_sizes and per_size_trees must have equal length")
     paired = sorted(zip(part_sizes, per_size_trees), key=lambda it: -it[0])
     # merge runs of equal sizes into (size, candidates, multiplicity) groups
     groups: list[tuple[int, list[RootedTree], int]] = []
     for size, trees in paired:
         trees = list(trees)
         if not trees:
-            raise ValueError(f"no candidate trees for part of size {size}")
+            raise OutOfRange(f"no candidate trees for part of size {size}")
         if groups and groups[-1][0] == size:
             groups[-1] = (size, groups[-1][1], groups[-1][2] + 1)
         else:

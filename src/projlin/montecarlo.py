@@ -5,7 +5,9 @@ projective arrangements, drawn by the same sampler as
 :func:`projlin.arrangement.sample_projective`: the estimate from a seed
 is exactly the mean edge-length sum of z successive ``sample_projective``
 draws from ``numpy.random.default_rng(seed)``.  It needs no positions,
-only each segment's offset inside its block, taken for many draws at once:
+only each segment's offset inside its block, which it sums over the
+chunks of draws that :func:`projlin.arrangement._segment_offsets` yields,
+the one draw loop behind ``sample_projective`` and ``projlin sample`` too:
 every draw gives each segment a uniform 64-bit key and orders each block
 by key, and a draw in which two segments of one block share a key is
 dropped and replaced by the next draw of the stream.
@@ -26,9 +28,6 @@ import numpy as np
 from .arrangement import _segment_offsets
 from .errors import OutOfRange, ZeroExact
 from .tree import RootedTree, _check_seed, _generator
-
-# Keep each sampled offset matrix around 32 MB regardless of tree size.
-_CHUNK_CELLS = 4_000_000
 
 # Keep each block of bootstrap indices around 8 MB regardless of group size.
 _BOOTSTRAP_CELLS = 1_000_000
@@ -67,21 +66,17 @@ def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     blocks of up to ``arrangement._PAIRWISE_MAX_SEGMENTS`` segments, which
     compare their segments' keys pairwise, plus O(k log k) to sort each
     larger block of k segments; the rare sample with two equal keys in one
-    block is redrawn.  The per-sample sums are integers, so the
-    accumulation is exact and only the final division produces a float.
+    block is redrawn.  Samples arrive in chunks of bounded memory, and
+    their sums are integers, so the accumulation is exact and only the
+    final division produces a float.
     """
     if z < 1:
         raise OutOfRange(f"z must be positive, got {z}")
     rng = _generator(seed)
     n = tree.n
-    if n == 1:
-        return MCEstimate(z, 0.0, seed)
-    chunk = max(1, min(z, _CHUNK_CELLS // (2 * n - 1)))
+    kids = np.flatnonzero(tree.parent_array)
     total = 0
-    remaining = z
-    while remaining:
-        batch = min(remaining, chunk)
-        kids, offset = _segment_offsets(tree, batch, rng)
+    for offset in _segment_offsets(tree, z, rng):
         # Edge (p, c) has length |seg(c) + own(c) - own(p)|: c's segment
         # offset in block p, c's own offset in block c, p's in block p.
         lengths = offset[:, n:]
@@ -90,7 +85,6 @@ def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
         np.abs(lengths, out=lengths)
         total += int(lengths.sum())
         del offset, lengths  # free this chunk before the next is drawn
-        remaining -= batch
     return MCEstimate(z, total / z, seed)
 
 
@@ -125,7 +119,7 @@ def aggregate_errors(
     for n, err in records:
         grouped.setdefault(n, []).append(err)
     if not grouped:
-        raise ValueError("no error records to aggregate")
+        raise OutOfRange("no error records to aggregate")
     tail = 100 * (1 - CONFIDENCE) / 2
     out = []
     for n in sorted(grouped):

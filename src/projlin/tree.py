@@ -381,12 +381,12 @@ def canonical_code(tree: RootedTree) -> bytes:
 def _check_class_args(tree_class: str, n: int, k: int | None) -> int | None:
     """Validate the arguments of a named tree class; return ``k`` normalized.
 
-    Raises ValueError for an unknown class and UnsupportedSize for a size
+    Raises OutOfRange for an unknown class and UnsupportedSize for a size
     the class does not have.  For ``linear_k``, ``k`` defaults to 0 and
     becomes ``min(k, n - 1 - k)``; other classes ignore it.
     """
     if tree_class not in TREE_CLASSES:
-        raise ValueError(f"unknown tree class {tree_class!r}")
+        raise OutOfRange(f"unknown tree class {tree_class!r}")
     if n < 1:
         raise UnsupportedSize(f"n must be positive, got {n}")
     if tree_class == "star_leaf" and n < 2:

@@ -215,14 +215,15 @@ def analyze_treebank(
     (sentence index, z index), so any ``jobs`` value produces identical
     numbers.  Error statistics exclude single-vertex sentences, whose
     exact expectation is zero.  A negative seed, ``jobs`` below 1, an
-    empty ``z_values`` or a z value given twice raises OutOfRange.
+    empty ``z_values``, a z value below 1 or a z value given twice raises
+    OutOfRange.
     """
     _check_seed(seed)
     if jobs < 1:
         raise OutOfRange(f"jobs must be at least 1, got {jobs}")
     z_values = tuple(int(z) for z in z_values)
-    if not z_values:
-        raise OutOfRange("z_values must be nonempty")
+    if not z_values or min(z_values) < 1:
+        raise OutOfRange(f"z_values must be nonempty and positive, got {list(z_values)}")
     if len(set(z_values)) != len(z_values):
         raise OutOfRange(f"z values must be distinct, got {', '.join(map(str, z_values))}")
     skips: dict[str, int] = {}

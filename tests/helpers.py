@@ -344,15 +344,18 @@ class NarrowKeys(np.random.Generator):
     Each value still takes one 64-bit word of the stream, as the sampler's
     full-range ``uint64`` keys do, but lies in 0..2**bits - 1, so equal
     keys inside a block are common and the sampler's redraw of tied rows
-    runs often.  ``rows`` counts the rows of keys drawn so far.
+    runs often.  ``rows`` counts the rows of keys drawn so far and
+    ``calls`` the calls that drew them.
     """
 
     def __init__(self, seed, bits):
         super().__init__(np.random.PCG64(seed))
         self.shift = np.uint64(64 - bits)
         self.rows = 0
+        self.calls = 0
 
     def integers(self, *args, **kwargs):
         keys = super().integers(*args, **kwargs)
         self.rows += len(keys)
+        self.calls += 1
         return keys >> self.shift

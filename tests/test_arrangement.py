@@ -11,9 +11,12 @@ from projlin import (
     LinearArrangement,
     OutOfRange,
     SizeMismatch,
+    aggregate_errors,
     build_tree,
+    combine_forests,
     count_projective,
     enumerate_projective,
+    expected_sum_projective,
     is_planar,
     is_projective,
     make_class,
@@ -47,6 +50,34 @@ def test_arrangement_validation():
         LinearArrangement([1, 1, 3])
     with pytest.raises(ValueError):
         LinearArrangement([0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: LinearArrangement([1, 1]),
+        lambda: LinearArrangement.from_inverse([2, 2]),
+        lambda: sum_edge_lengths(CHAIN3, LinearArrangement.identity(3), "nope"),
+        lambda: expected_sum_projective(CHAIN3, "nope"),
+        lambda: make_class("nope", 3),
+        lambda: aggregate_errors([]),
+        lambda: list(combine_forests([1, 2], [[build_tree(1, [], 1)]])),
+        lambda: list(combine_forests([1], [[]])),
+    ],
+    ids=[
+        "positions",
+        "from_inverse",
+        "sum_variant",
+        "expected_variant",
+        "tree_class",
+        "no_records",
+        "forest_lengths",
+        "forest_no_candidates",
+    ],
+)
+def test_bad_arguments_raise_out_of_range(call):
+    with pytest.raises(OutOfRange):
+        call()
 
 
 def test_sum_edge_lengths_examples():
@@ -283,9 +314,9 @@ def test_segment_offsets_match_the_oracle_when_keys_tie(z):
     redrawn = 0
     for i, (tree, bits) in enumerate(_tie_prone_cases()):
         rng = NarrowKeys(i, bits)
-        kids, offsets = arrangement._segment_offsets(tree, z, rng)
+        offsets = np.concatenate(list(arrangement._segment_offsets(tree, z, rng)))
         oracle_kids, oracle_offsets = oracle_segment_offsets(tree, z, NarrowKeys(i, bits))
-        assert np.array_equal(kids, oracle_kids)
+        assert np.array_equal(np.flatnonzero(tree.parent_array), oracle_kids)
         assert offsets.shape == oracle_offsets.shape == (z, 2 * tree.n - 1)
         assert np.array_equal(offsets, oracle_offsets), tree
         redrawn += rng.rows - z
@@ -295,10 +326,27 @@ def test_segment_offsets_match_the_oracle_when_keys_tie(z):
 def test_segment_offsets_drawn_at_once_equal_successive_draws_when_keys_tie():
     for i, (tree, bits) in enumerate(_tie_prone_cases()):
         for z in (2, 7, 40):
-            _, at_once = arrangement._segment_offsets(tree, z, NarrowKeys(i, bits))
+            at_once = np.concatenate(list(arrangement._segment_offsets(tree, z, NarrowKeys(i, bits))))
             rng = NarrowKeys(i, bits)
-            successive = [arrangement._segment_offsets(tree, 1, rng)[1] for _ in range(z)]
+            successive = [next(arrangement._segment_offsets(tree, 1, rng)) for _ in range(z)]
             assert np.array_equal(at_once, np.concatenate(successive)), (tree, z)
+
+
+@pytest.mark.parametrize("z", [1, 7, 40])
+def test_positions_over_the_chunks_equal_successive_draws_when_keys_tie(monkeypatch, z):
+    # chunks of at most 3 rows: with keys this narrow some chunks are tied
+    # in every row, yield nothing and must leave the stream in step
+    wholly_tied = 0
+    for i, (tree, bits) in enumerate(_tie_prone_cases()):
+        monkeypatch.setattr(arrangement, "_CHUNK_CELLS", 3 * (2 * tree.n - 1))
+        rng = NarrowKeys(i, bits)
+        chunks = list(arrangement._segment_offsets(tree, z, rng))
+        rows = [row for offsets in chunks for row in arrangement._positions(tree, offsets).tolist()]
+        draws = NarrowKeys(i, bits)
+        assert rows == [list(sample_projective(tree, draws).pos[1:]) for _ in range(z)], (tree, z)
+        assert rng.rows == draws.rows
+        wholly_tied += rng.calls - len(chunks)
+    assert wholly_tied > 0
 
 
 def test_sampler_uniform_on_eight_vertex_tree_when_keys_tie():
@@ -331,7 +379,7 @@ def test_segment_offsets_match_the_sorting_oracle(z):
     assert 2 in sizes and sizes & set(range(3, cut + 1)) and max(sizes) > cut
     for tree in trees:
         seed = int(rng.integers(2**32))
-        kids, offsets = arrangement._segment_offsets(tree, z, np.random.default_rng(seed))
+        offsets = np.concatenate(list(arrangement._segment_offsets(tree, z, np.random.default_rng(seed))))
         oracle_kids, oracle_offsets = oracle_segment_offsets(tree, z, np.random.default_rng(seed))
-        assert np.array_equal(kids, oracle_kids)
+        assert np.array_equal(np.flatnonzero(tree.parent_array), oracle_kids)
         assert offsets.dtype == np.int64 and np.array_equal(offsets, oracle_offsets), tree

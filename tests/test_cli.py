@@ -6,11 +6,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import projlin
+from projlin import arrangement, make_class, random_tree, sample_projective
 from projlin.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, format_rational, main
 from fractions import Fraction
+from helpers import caterpillar
 
 
 def run(capsys, *argv):
@@ -89,6 +92,26 @@ def test_sample_deterministic(capsys):
     assert other != first
 
 
+@pytest.mark.parametrize("chunk_rows", [None, 4], ids=["one_chunk", "several_chunks"])
+def test_sample_prints_successive_sampler_draws(monkeypatch, capsys, chunk_rows):
+    # the rows of sample --z are what z sample_projective calls on
+    # default_rng(seed) draw, on blocks below and past the pairwise cut-off
+    rng = np.random.default_rng(808)
+    trees = [random_tree(int(rng.integers(2, 40)), rng) for _ in range(6)]
+    trees += [make_class("star_hub", 13), caterpillar(4, 9)]
+    for tree in trees:
+        z = int(rng.integers(1, 15))
+        seed = int(rng.integers(2**32))
+        if chunk_rows:
+            monkeypatch.setattr(arrangement, "_CHUNK_CELLS", chunk_rows * (2 * tree.n - 1))
+        args = ["sample", "--tree", tree.head_vector(), "--z", str(z), "--seed", str(seed)]
+        code, out, _ = run(capsys, *args)
+        draws = np.random.default_rng(seed)
+        rows = [sample_projective(tree, draws).inverse[1:] for _ in range(z)]
+        assert code == EXIT_OK
+        assert out == "".join(" ".join(map(str, row)) + "\n" for row in rows), (tree, z)
+
+
 def test_sample_mean(capsys):
     code, out, _ = run(capsys, "sample", "--tree", "0 1", "--z", "50", "--seed", "1", "--mean")
     assert code == EXIT_OK and out == "1.0\n"
@@ -133,8 +156,16 @@ def test_exit_codes(capsys):
     assert code == EXIT_CAP and err.startswith("CapExceeded")
     code, _, err = run(capsys, "nonsense")
     assert code == EXIT_USAGE
-    code, _, err = run(capsys, "expected")
-    assert code == EXIT_VALIDATION  # no tree given
+
+
+@pytest.mark.parametrize("command", ["expected", "count", "enumerate", "sample"])
+def test_tree_flags_are_one_required_choice(tmp_path, capsys, command):
+    star = tmp_path / "star.txt"
+    star.write_text("0 1 1 1", encoding="utf-8")
+    for flags in ([], ["--tree", "0 1", "--tree-file", str(star)]):
+        code, out, err = run(capsys, command, *flags)
+        assert code == EXIT_USAGE and out == ""
+        assert "--tree" in err and "Traceback" not in err
 
 
 def test_minima_cap_exit(capsys):
@@ -305,6 +336,15 @@ def test_analyze_repeated_z_is_rejected(tmp_path, capsys):
     )
     assert code == EXIT_VALIDATION and out == "" and err.startswith("OutOfRange")
     assert not (tmp_path / "o.sentences.csv").exists()
+
+
+def test_analyze_bad_z_lists_are_out_of_range(tmp_path, capsys):
+    corpus = _one_sentence_corpus(tmp_path)
+    for z in ("0", "10,-1", ",", "a"):
+        code, out, err = run(capsys, "analyze", "--input", corpus, "--z", z, "--out-prefix", str(tmp_path / "o"))
+        assert code == EXIT_VALIDATION and out == "" and err.startswith("OutOfRange"), z
+    assert not (tmp_path / "o.sentences.csv").exists()
+    assert not (tmp_path / "o.summary.csv").exists()
 
 
 def test_analyze_unwritable_output_prefix(tmp_path, capsys):

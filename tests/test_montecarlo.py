@@ -22,7 +22,7 @@ from projlin import (
     sample_projective,
     sum_edge_lengths,
 )
-from projlin import montecarlo
+from projlin import arrangement, montecarlo
 from helpers import caterpillar
 
 
@@ -98,7 +98,7 @@ def test_estimate_is_the_mean_of_sampler_draws(monkeypatch, chunk_rows):
         seed = int(rng.integers(2**32))
         t = random_tree(n, rng)
         if chunk_rows:
-            monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", chunk_rows * (2 * n - 1))
+            monkeypatch.setattr(arrangement, "_CHUNK_CELLS", chunk_rows * (2 * n - 1))
         draws = np.random.default_rng(seed)
         total = sum(sum_edge_lengths(t, sample_projective(t, draws)) for _ in range(z))
         assert estimate_expected_sum(t, z, seed).mean == total / z
@@ -115,7 +115,7 @@ def test_estimate_is_the_mean_of_sampler_draws_on_stars_and_caterpillars(monkeyp
         z = int(rng.integers(1, 31))
         seed = int(rng.integers(2**32))
         if chunk_rows:
-            monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", chunk_rows * (2 * t.n - 1))
+            monkeypatch.setattr(arrangement, "_CHUNK_CELLS", chunk_rows * (2 * t.n - 1))
         draws = np.random.default_rng(seed)
         total = sum(sum_edge_lengths(t, sample_projective(t, draws)) for _ in range(z))
         assert estimate_expected_sum(t, z, seed).mean == total / z

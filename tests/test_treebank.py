@@ -312,6 +312,17 @@ def test_analyze_rejects_empty_z_values():
         analyze_treebank(conllu(_synthetic_corpus(4, 7)), z_values=())
 
 
+def test_analyze_rejects_z_below_one_before_reading_the_stream():
+    skipped = token_line(1, "a", 0) + "\n" + token_line(2, "b", 0) + "\n\n"
+    for z_values in ([0, -3], [10, 0]):
+        with pytest.raises(OutOfRange, match="positive"):
+            analyze_treebank(conllu(skipped), z_values=z_values)
+        sentences = iter(conllu(_synthetic_corpus(4, 7)))
+        with pytest.raises(OutOfRange, match="positive"):
+            analyze_treebank(sentences, z_values=z_values)
+        assert len(list(sentences)) == 4
+
+
 def test_analyze_deterministic_and_parallel_identical():
     text = _synthetic_corpus(10, 11)
     a = analyze_treebank(conllu(text), z_values=(10, 50), seed=3)
