@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, OutOfRange, SizeMismatch
-from .tree import RootedTree, _generator
+from .tree import RootedTree, _Forest, _generator
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -33,8 +33,10 @@ VARIANTS = ("standard", "minus_one")
 # keys, larger ones (stars and the like) by a sort of their own rows.
 _PAIRWISE_MAX_SEGMENTS = 8
 
-# Keep each matrix of sampled keys or offsets around 32 MB for any tree size.
-_CHUNK_CELLS = 4_000_000
+# Keep each matrix of sampled keys or offsets at about 2^16 cells (512 kB),
+# so that a chunk and its temporaries stay in the L2 cache for any tree or
+# forest size; a row wider than that is drawn alone.
+_CHUNK_CELLS = 65_536
 
 
 class LinearArrangement:
@@ -238,32 +240,39 @@ def enumerate_projective(
         yield LinearArrangement.from_inverse(sequence)
 
 
-def _segment_offsets(tree: RootedTree, z: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+def _segment_offsets(
+    tree: RootedTree | _Forest, z: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
     """Offset of every segment inside its block, for z independent draws.
 
+    ``tree`` is one tree or a forest of trees laid end to end.
     Every vertex v owns a block of d_v + 1 segments: v itself and the
-    subtree of each child.  Yields (rows, 2n - 1) int64 chunks, z rows in
-    all, whose column v - 1 holds the offset of v's own slot in block v and
-    whose column n + j holds the offset of the subtree of the j-th non-root
-    vertex in its parent's block.
+    subtree of each child.  Yields (rows, n + m) int64 chunks, z rows in
+    all, where m is the number of non-root vertices (n - 1 for a tree):
+    column v - 1 holds the offset of v's own slot in block v and column
+    n + j the offset of the subtree of the j-th non-root vertex in its
+    parent's block.
 
     A draw gives each segment an independent uniform 64-bit key, one
     ``rng.integers`` row, and orders every block by key: a segment's
     offset is the total length of the segments of its own block with
-    smaller keys.  Up to ``_CHUNK_CELLS // (2n - 1)`` rows are drawn at a
-    time, the rows where two segments of one block drew the same key are
-    dropped, and the rest, if any, is yielded: the first z tie-free rows of
-    the stream, in order.  Given no tie the keys of a block are
-    exchangeable, so each block's order is exactly uniform and independent
-    of the others; and a draw does not depend on how many rows are drawn
-    with it.
+    smaller keys.  Up to ``max(1, _CHUNK_CELLS // (n + m))`` rows are
+    drawn at a time, the rows where two segments of one block drew the
+    same key are dropped, and the rest, if any, is yielded: the first z
+    tie-free rows of the stream, in order.  Given no tie the keys of a
+    block are exchangeable, so each block's order is exactly uniform and
+    independent of the others; and a draw does not depend on how many
+    rows are drawn with it.  In a forest a tie drops the whole row, every
+    tree's draw with it; the kept rows are still the first z tie-free ones,
+    so each tree's draws stay exactly uniform and independent.
     """
-    n = tree.n
-    length = np.ones(2 * n - 1, dtype=np.int64)
-    length[n:] = tree.size_array[np.flatnonzero(tree.parent_array)]
-    chunk = max(1, _CHUNK_CELLS // (2 * n - 1))
+    # every own slot has length 1, every child's segment its subtree size
+    length = np.concatenate(
+        (np.ones(tree.n, dtype=np.int64), tree.size_array[tree.parent_array != 0])
+    )
+    chunk = max(1, _CHUNK_CELLS // length.size)
     while z:
-        keys = rng.integers(0, 2**64, size=(min(z, chunk), 2 * n - 1), dtype=np.uint64)
+        keys = rng.integers(0, 2**64, size=(min(z, chunk), length.size), dtype=np.uint64)
         offsets = _ordered_blocks(tree.blocks, length, keys)
         if len(offsets):
             z -= len(offsets)

@@ -12,6 +12,13 @@ every draw gives each segment a uniform 64-bit key and orders each block
 by key, and a draw in which two segments of one block share a key is
 dropped and replaced by the next draw of the stream.
 
+There is one kernel, :func:`_edge_sums`, over a forest of trees laid end
+to end (``tree._forest``): a single tree is the one-tree forest, and the
+treebank pipeline draws a block of sentences at once, one draw-loop call
+per (block, z) instead of one per (sentence, z).  A draw of a forest is
+one row of keys over all its trees, so a tie in any tree redraws the row
+for every tree of the block.
+
 Relative errors of estimates against exact values are aggregated per tree
 size with percentile-bootstrap confidence intervals, matching the usual
 presentation of such error studies (mean, min, max, and a 99% band).
@@ -27,7 +34,7 @@ import numpy as np
 
 from .arrangement import _segment_offsets
 from .errors import OutOfRange, ZeroExact
-from .tree import RootedTree, _check_seed, _generator
+from .tree import RootedTree, _check_seed, _Forest, _forest, _generator
 
 # Keep each block of bootstrap indices around 8 MB regardless of group size.
 _BOOTSTRAP_CELLS = 1_000_000
@@ -58,6 +65,44 @@ class ErrorStats:
     ci_high: float
 
 
+def _edge_sums(forest: _Forest, offsets: np.ndarray) -> np.ndarray:
+    """Total edge length of every tree of the forest in every row of offsets.
+
+    The Monte Carlo kernel: ``offsets`` is a chunk from
+    :func:`projlin.arrangement._segment_offsets` of the forest, and the
+    result a (rows, trees) int64 matrix.  Edge (p, c) has length
+    |seg(c) + own(c) - own(p)|: c's segment offset in block p, c's own
+    offset in block c, p's in block p.  A tree's edges are one contiguous
+    range of columns, summed by ``np.add.reduceat``; a one-vertex tree has
+    none and sums to 0.
+    """
+    n = forest.n
+    parent = forest.parent_array
+    kids = np.flatnonzero(parent)
+    sums = np.zeros((len(offsets), forest.starts.size), dtype=np.int64)
+    if kids.size:
+        lengths = offsets[:, n:] + offsets[:, kids - 1]
+        lengths -= offsets[:, parent[kids] - 1]
+        np.abs(lengths, out=lengths)
+        has_edges = np.diff(forest.starts, append=n) > 1
+        first_edge = forest.starts - np.arange(forest.starts.size)
+        sums[:, has_edges] = np.add.reduceat(lengths, first_edge[has_edges], axis=1)
+    return sums
+
+
+def _forest_totals(forest: _Forest, z: int, rng: np.random.Generator) -> list[int]:
+    """Every tree's edge-length sum over z draws of the whole forest.
+
+    The chunks' int64 column sums are added up as Python ints, so the
+    totals are exact however large z grows.
+    """
+    totals = [0] * forest.starts.size
+    for offsets in _segment_offsets(forest, z, rng):
+        chunk = _edge_sums(forest, offsets).sum(axis=0).tolist()
+        totals = [total + s for total, s in zip(totals, chunk)]
+    return totals
+
+
 def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     """Mean total edge length over z uniform projective samples.
 
@@ -66,25 +111,14 @@ def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     blocks of up to ``arrangement._PAIRWISE_MAX_SEGMENTS`` segments, which
     compare their segments' keys pairwise, plus O(k log k) to sort each
     larger block of k segments; the rare sample with two equal keys in one
-    block is redrawn.  Samples arrive in chunks of bounded memory, and
-    their sums are integers, so the accumulation is exact and only the
+    block is redrawn.  The tree is the one-tree forest of
+    :func:`_forest_totals`: samples arrive in chunks of bounded memory,
+    and their sums are integers, so the accumulation is exact and only the
     final division produces a float.
     """
     if z < 1:
         raise OutOfRange(f"z must be positive, got {z}")
-    rng = _generator(seed)
-    n = tree.n
-    kids = np.flatnonzero(tree.parent_array)
-    total = 0
-    for offset in _segment_offsets(tree, z, rng):
-        # Edge (p, c) has length |seg(c) + own(c) - own(p)|: c's segment
-        # offset in block p, c's own offset in block c, p's in block p.
-        lengths = offset[:, n:]
-        lengths += offset[:, kids - 1]
-        lengths -= offset[:, tree.parent_array[kids] - 1]
-        np.abs(lengths, out=lengths)
-        total += int(lengths.sum())
-        del offset, lengths  # free this chunk before the next is drawn
+    (total,) = _forest_totals(_forest((tree,)), z, _generator(seed))
     return MCEstimate(z, total / z, seed)
 
 

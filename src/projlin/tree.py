@@ -27,7 +27,7 @@ unlabeled-isomorphism tests, and uniform random labeled trees.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -178,6 +178,42 @@ class RootedTree:
         return f"RootedTree(n={self.n}, root={self.root})"
 
 
+class _Forest(NamedTuple):
+    """Rooted trees laid end to end over vertices 1..n, drawn as one.
+
+    Tree i's vertex v is vertex ``starts[i] + v`` here, and its parent is
+    shifted alike; each root keeps parent 0.  ``blocks`` is the
+    :func:`_block_plan` of the whole forest, so one draw orders the blocks
+    of every tree, and tree i's non-root vertices, taken in ascending
+    order, are the contiguous range from ``starts[i] - i`` of the forest's.
+    """
+
+    n: int
+    parent_array: np.ndarray
+    size_array: np.ndarray
+    out_degree_array: np.ndarray
+    starts: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+
+
+def _forest(trees: Sequence[RootedTree]) -> _Forest:
+    """Lay the trees end to end, in order; one tree keeps its own arrays
+    and cached block plan."""
+    if len(trees) == 1:
+        (tree,) = trees
+        arrays = (tree.parent_array, tree.size_array, tree.out_degree_array)
+        return _Forest(tree.n, *arrays, np.zeros(1, dtype=np.int64), tree.blocks)
+    counts = np.array([tree.n for tree in trees], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    parent, size, out_degree = (
+        np.concatenate([[0]] + [getattr(tree, name)[1:] for tree in trees])
+        for name in ("parent_array", "size_array", "out_degree_array")
+    )
+    parent[1:] += np.repeat(starts, counts) * (parent[1:] != 0)
+    n = int(counts.sum())
+    return _Forest(n, parent, size, out_degree, starts, _block_plan(n, parent, out_degree))
+
+
 def _bfs_order(root: int, children) -> tuple[int, ...]:
     order = [root]
     for v in order:  # the loop also visits the vertices appended here
@@ -191,6 +227,7 @@ def _block_plan(n: int, parent: np.ndarray, out_degree: np.ndarray):
     Vertex v's block holds d_v + 1 segments: v's own slot and the subtree
     of each child.  Segment v - 1 is v's own slot and segment n + j the
     subtree of ``kids[j]``, the j-th non-root vertex in ascending order.
+    ``parent`` may hold several roots, each marked by a 0 (a ``_Forest``).
     Returns one read-only int32 (g, d + 1) array per out-degree d >= 1
     present, in ascending d: row i lists the segments of the block of the
     i-th vertex of out-degree d, its own slot first.  Leaves, whose one
@@ -204,7 +241,7 @@ def _block_plan(n: int, parent: np.ndarray, out_degree: np.ndarray):
     vertices_per_degree[0] = 0  # leaves get no group
     # Every group is a view of one buffer, allocated before the sort's
     # temporaries so that the cached plan does not pin them in the heap.
-    flat = np.empty(n - 1 + np.count_nonzero(out_degree), dtype=np.int32)
+    flat = np.empty(np.count_nonzero(parent) + np.count_nonzero(out_degree), dtype=np.int32)
     heads = parent[parent != 0]  # the parent of kids[j], for every j
     key = out_degree[heads]
     key *= n + 1

@@ -11,11 +11,19 @@ annotation errors.
 The analysis step computes, per sentence, the observed edge-length sums
 under both definitions (in the identity arrangement the standard sum is
 the sum of |v - head(v)| over the parent array, and the minus-one sum is
-that less n - 1), the exact projective expectation, the number of
-projective arrangements, and seeded Monte Carlo estimates with their
-relative errors for each requested sample count.  Seeds are derived from
-the sentence index, so results do not depend on scheduling and the work
-can be spread over a process pool.
+that less n - 1), whether that arrangement is projective, the exact
+projective expectation, the number of projective arrangements, and
+seeded Monte Carlo estimates with their relative errors for each
+requested sample count.
+
+Sentences are analyzed in blocks of ``_BLOCK_SENTENCES`` consecutive
+accepted ones, each laid out as one forest (``tree._forest``).  The exact
+columns come from the forest's arrays, one ``np.add.reduceat`` per column
+over the sentences' vertex ranges, and the Monte Carlo columns from one
+draw-loop call per (block, z), which costs about as much as one call per
+(sentence, z) did.  Seeds are derived from the (block index, z index),
+so results do not depend on scheduling, and the blocks can be spread
+over a process pool.
 """
 
 from __future__ import annotations
@@ -28,11 +36,15 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._digits import exact_str
-from .arrangement import LinearArrangement, count_projective, is_projective
+from .arrangement import count_projective
 from .errors import OutOfRange, ProjlinError
-from .expectation import expected_sum_projective
-from .montecarlo import ErrorStats, aggregate_errors, estimate_expected_sum, relative_error
-from .tree import RootedTree, _check_seed, tree_from_heads
+from .montecarlo import ErrorStats, _forest_totals, aggregate_errors, relative_error
+from .tree import RootedTree, _check_seed, _Forest, _forest, tree_from_heads
+
+# Sentences drawn together as one forest.  On the benchmark's 200-sentence
+# corpus at z = 10, 100 and 1000, 8 to 32 timed alike and 16 best; larger
+# forests leave the cache at z = 1000 (see arrangement._CHUNK_CELLS).
+_BLOCK_SENTENCES = 16
 
 
 class Token(NamedTuple):
@@ -177,29 +189,62 @@ def _derived_seed(seed: int, index: int, which: int) -> int:
     return int(entropy.generate_state(1, np.uint64)[0])
 
 
-def _analyze_one(
-    payload: tuple[int, TreebankSentence, tuple[int, ...], int]
-) -> SentenceAnalysis:
-    index, sentence, z_values, seed = payload
-    tree = sentence.tree
-    n = tree.n
-    kids = np.flatnonzero(tree.parent_array)
-    observed = int(np.abs(kids - tree.parent_array[kids]).sum())
-    exact = expected_sum_projective(tree)
-    estimates = []
+def _surface_projective(forest: _Forest) -> np.ndarray:
+    """Whether each tree's identity arrangement is projective.
+
+    The interval criterion of :func:`projlin.arrangement.is_projective`:
+    every subtree's labels span exactly its size.  The least and greatest
+    label below every vertex come from pointer doubling, as the subtree
+    sizes do in ``tree._doubling_kernel``: each round every vertex pushes
+    the extremes it has seen to the ancestor ``jump`` links up, then the
+    jump doubles.  Slot 0 collects the pushes of the vertices without such
+    an ancestor and is never read.
+    """
+    lo = np.arange(forest.n + 1)
+    hi = lo.copy()
+    jump = forest.parent_array
+    while np.count_nonzero(jump):
+        np.minimum.at(lo, jump, lo.copy())
+        np.maximum.at(hi, jump, hi.copy())
+        jump = jump[jump]
+    spread = hi[1:] - lo[1:] + 1 != forest.size_array[1:]
+    return ~np.logical_or.reduceat(spread, forest.starts)
+
+
+def _analyze_block(
+    payload: tuple[int, tuple[TreebankSentence, ...], tuple[int, ...], int]
+) -> tuple[SentenceAnalysis, ...]:
+    """The analyses of one block of sentences, drawn as one forest; the
+    exact columns are int64 sums over each sentence's vertex range."""
+    index, sentences, z_values, seed = payload
+    forest = _forest([sentence.tree for sentence in sentences])
+    parent = forest.parent_array[1:]
+    starts = forest.starts
+    # the closed form (1/6)(-1 + sum over v of n_v (2 d_v + 1)), per sentence
+    terms = forest.size_array[1:] * (2 * forest.out_degree_array[1:] + 1)
+    exact = [Fraction(total - 1, 6) for total in np.add.reduceat(terms, starts).tolist()]
+    spans = np.abs(np.arange(1, forest.n + 1) - parent) * (parent != 0)
+    observed = np.add.reduceat(spans, starts).tolist()
+    projective = _surface_projective(forest).tolist()
+    estimates = []  # per z, one (z, estimate, relative error) per sentence
     for which, z in enumerate(z_values):
-        estimate = estimate_expected_sum(tree, z, _derived_seed(seed, index, which))
-        err = relative_error(estimate.mean, exact) if exact > 0 else None
-        estimates.append((z, estimate.mean, err))
-    return SentenceAnalysis(
-        sentence_id=sentence.sentence_id,
-        n=n,
-        observed_standard=observed,
-        observed_minus_one=observed - (n - 1),
-        projective=is_projective(tree, LinearArrangement.identity(n)),
-        arrangement_count=count_projective(tree),
-        exact=exact,
-        estimates=tuple(estimates),
+        rng = np.random.default_rng(_derived_seed(seed, index, which))
+        means = [total / z for total in _forest_totals(forest, z, rng)]
+        estimates.append(
+            [(z, m, relative_error(m, e) if e > 0 else None) for m, e in zip(means, exact)]
+        )
+    return tuple(
+        SentenceAnalysis(
+            sentence_id=sentence.sentence_id,
+            n=sentence.tree.n,
+            observed_standard=observed[i],
+            observed_minus_one=observed[i] - (sentence.tree.n - 1),
+            projective=projective[i],
+            arrangement_count=count_projective(sentence.tree),
+            exact=exact[i],
+            estimates=tuple(by_z[i] for by_z in estimates),
+        )
+        for i, sentence in enumerate(sentences)
     )
 
 
@@ -211,10 +256,13 @@ def analyze_treebank(
 ) -> TreebankReport:
     """Run the full per-sentence analysis over a parsed sentence stream.
 
-    Skip records are tallied by reason.  Monte Carlo seeds are derived per
-    (sentence index, z index), so any ``jobs`` value produces identical
-    numbers.  Error statistics exclude single-vertex sentences, whose
-    exact expectation is zero.  A negative seed, ``jobs`` below 1, an
+    Skip records are tallied by reason.  The accepted sentences are
+    analyzed in blocks of ``_BLOCK_SENTENCES``, each drawn as one forest,
+    and ``jobs`` processes share out the blocks.  Monte Carlo seeds are
+    derived per (block index, z index), so any ``jobs`` value produces
+    identical numbers, and a sentence's estimates depend only on the
+    sentences of its own block.  Error statistics exclude single-vertex
+    sentences, whose exact expectation is zero.  A negative seed, ``jobs`` below 1, an
     empty ``z_values``, a z value below 1 or a z value given twice raises
     OutOfRange.
     """
@@ -234,16 +282,20 @@ def analyze_treebank(
         else:
             accepted.append(item)
 
-    payloads = [(i, sentence, z_values, seed) for i, sentence in enumerate(accepted)]
+    payloads = [
+        (index, tuple(accepted[start : start + _BLOCK_SENTENCES]), z_values, seed)
+        for index, start in enumerate(range(0, len(accepted), _BLOCK_SENTENCES))
+    ]
     if jobs > 1 and len(payloads) > 1:
         # imported here: concurrent.futures brings in multiprocessing,
         # logging, socket and more, which a one-process run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            analyses = tuple(pool.map(_analyze_one, payloads, chunksize=16))
+            blocks = list(pool.map(_analyze_block, payloads))
     else:
-        analyses = tuple(_analyze_one(p) for p in payloads)
+        blocks = [_analyze_block(p) for p in payloads]
+    analyses = tuple(analysis for block in blocks for analysis in block)
 
     error_stats: dict[int, list[ErrorStats]] = {}
     for which, z in enumerate(z_values):

@@ -26,6 +26,7 @@ from projlin import (
     sum_edge_lengths,
 )
 from projlin import arrangement
+from projlin.tree import _forest
 from helpers import (
     NarrowKeys,
     all_arrangements,
@@ -347,6 +348,24 @@ def test_positions_over_the_chunks_equal_successive_draws_when_keys_tie(monkeypa
         assert rng.rows == draws.rows
         wholly_tied += rng.calls - len(chunks)
     assert wholly_tied > 0
+
+
+@pytest.mark.parametrize("cells", [None, 1, 50, 1000], ids=["default", "1", "50", "1000"])
+def test_every_chunk_holds_at_most_the_cell_budget_in_rows(monkeypatch, cells):
+    # max(1, _CHUNK_CELLS // columns) rows, for one tree and for a forest,
+    # also when a single row is wider than the budget
+    if cells:
+        monkeypatch.setattr(arrangement, "_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(77)
+    trees = [random_tree(int(rng.integers(1, 40)), rng) for _ in range(12)]
+    for shape in ([make_class("star_hub", 30)], trees):
+        forest = _forest(shape)
+        columns = forest.n + np.count_nonzero(forest.parent_array)
+        limit = max(1, arrangement._CHUNK_CELLS // columns)
+        z = 3 * limit + 2
+        chunks = list(arrangement._segment_offsets(forest, z, NarrowKeys(5, 12)))
+        assert sum(len(offsets) for offsets in chunks) == z
+        assert all(offsets.shape[1] == columns and 1 <= len(offsets) <= limit for offsets in chunks)
 
 
 def test_sampler_uniform_on_eight_vertex_tree_when_keys_tie():

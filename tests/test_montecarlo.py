@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from projlin import (
@@ -22,8 +24,9 @@ from projlin import (
     sample_projective,
     sum_edge_lengths,
 )
-from projlin import arrangement, montecarlo
-from helpers import caterpillar
+from projlin import LinearArrangement, arrangement, montecarlo
+from projlin.tree import _forest
+from helpers import NarrowKeys, caterpillar
 
 
 def test_estimate_trivial_trees():
@@ -119,6 +122,39 @@ def test_estimate_is_the_mean_of_sampler_draws_on_stars_and_caterpillars(monkeyp
         draws = np.random.default_rng(seed)
         total = sum(sum_edge_lengths(t, sample_projective(t, draws)) for _ in range(z))
         assert estimate_expected_sum(t, z, seed).mean == total / z
+
+
+@st.composite
+def tree_lists(draw):
+    """1 to 20 uniform random trees of 1 to 30 vertices."""
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=20))
+    return [random_tree(n, draw(st.integers(0, 2**32 - 1))) for n in sizes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_lists(), st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([64, 10]))
+def test_forest_kernel_sums_each_tree_row_for_row(trees, z, seed, bits):
+    # each tree's columns of the forest's offsets are a draw of that tree
+    # alone; 10-bit keys tie in about a third of the rows of a large forest
+    forest = _forest(trees)
+    offsets = np.concatenate(list(arrangement._segment_offsets(forest, z, NarrowKeys(seed, bits))))
+    sums = montecarlo._edge_sums(forest, offsets)
+    assert sums.shape == (z, len(trees)) and sums.dtype == np.int64
+    for i, (tree, start) in enumerate(zip(trees, forest.starts.tolist())):
+        own = offsets[:, start : start + tree.n]
+        first_edge = forest.n + start - i  # each earlier tree has one root
+        edges = offsets[:, first_edge : first_edge + tree.n - 1]
+        positions = arrangement._positions(tree, np.concatenate((own, edges), axis=1))
+        want = [sum_edge_lengths(tree, LinearArrangement._of_bijection(row)) for row in positions]
+        assert sums[:, i].tolist() == want
+
+
+def test_forest_totals_are_the_column_sums_of_the_kernel():
+    trees = [random_tree(n, n) for n in (1, 7, 1, 30, 2, 12)]
+    forest = _forest(trees)
+    chunks = arrangement._segment_offsets(forest, 500, NarrowKeys(8, 10))
+    want = sum(montecarlo._edge_sums(forest, offsets).sum(axis=0) for offsets in chunks)
+    assert montecarlo._forest_totals(forest, 500, NarrowKeys(8, 10)) == want.tolist()
 
 
 def test_estimate_converges_on_random_trees():

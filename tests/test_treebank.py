@@ -15,6 +15,7 @@ from projlin import (
     TreebankSentence,
     analyze_treebank,
     canonical_code,
+    count_projective,
     expected_sum_projective,
     is_projective,
     parse_conllu,
@@ -26,7 +27,7 @@ from projlin import (
     write_sentence_csv,
     write_summary_csv,
 )
-from projlin.treebank import _analyze_one
+from projlin.treebank import _BLOCK_SENTENCES, _analyze_block
 from helpers import oracle_edge_sum
 
 
@@ -222,7 +223,7 @@ def test_conllu_trees_are_the_trees_of_their_compacted_heads(case):
     assert np.array_equal(sentence.tree.out_degree_array, want.out_degree_array)
     assert (sentence.tree.children, sentence.tree.order) == (want.children, want.order)
     n = sentence.tree.n
-    analysis = _analyze_one((0, sentence, (10,), 1))
+    (analysis,) = _analyze_block((0, (sentence,), (10,), 1))
     observed = oracle_edge_sum(sentence.tree, LinearArrangement.identity(n))
     assert analysis.observed_standard == observed
     assert analysis.observed_minus_one == observed - (n - 1)
@@ -237,7 +238,7 @@ def test_projective_sentence_fixture_observed_sum():
     surface = LinearArrangement.identity(8)
     assert sum_edge_lengths(sentence.tree, surface) == 12
     assert is_projective(sentence.tree, surface)
-    analysis = _analyze_one((0, sentence, (10,), 1))
+    (analysis,) = _analyze_block((0, (sentence,), (10,), 1))
     assert (analysis.observed_standard, analysis.observed_minus_one) == (12, 5)
     assert analysis.projective is True
 
@@ -247,7 +248,7 @@ def test_nonprojective_sentence_flagged():
     heads = (0, 4, 1, 1)
     lines = "\n".join(token_line(i + 1, f"w{i + 1}", h) for i, h in enumerate(heads))
     (sentence,) = conllu(lines + "\n\n")
-    analysis = _analyze_one((0, sentence, (10,), 1))
+    (analysis,) = _analyze_block((0, (sentence,), (10,), 1))
     assert analysis.projective is False
 
 
@@ -331,6 +332,62 @@ def test_analyze_deterministic_and_parallel_identical():
     assert a == b == c
     d = analyze_treebank(conllu(text), z_values=(10, 50), seed=4)
     assert d != a
+
+
+def test_analyze_blocks_identical_for_every_jobs_value():
+    # three blocks, so two and three processes each take whole blocks
+    text = _synthetic_corpus(2 * _BLOCK_SENTENCES + 5, 41)
+    reports = [
+        analyze_treebank(conllu(text), z_values=(10, 30), seed=9, jobs=jobs) for jobs in (1, 2, 3)
+    ]
+    assert len(reports[0].sentences) == 2 * _BLOCK_SENTENCES + 5
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_editing_a_sentence_leaves_the_other_blocks_unchanged():
+    block = _BLOCK_SENTENCES
+    parsed = conllu(_synthetic_corpus(3 * block, 43))
+    edited = list(parsed)
+    heads = "\n".join(token_line(v, f"w{v}", 0 if v == 1 else v - 1) for v in range(1, 6))
+    (edited[block + 3],) = conllu(f"# sent_id = edited\n{heads}\n\n")
+    a = analyze_treebank(parsed, z_values=(10, 100), seed=12)
+    b = analyze_treebank(edited, z_values=(10, 100), seed=12)
+    assert a.sentences[:block] == b.sentences[:block]
+    assert a.sentences[2 * block :] == b.sentences[2 * block :]
+    assert b.sentences[block + 3].sentence_id == "edited"
+
+
+def _projective_relabel(tree, seed):
+    """The tree relabeled so that its identity arrangement is a uniform
+    projective one."""
+    pos = sample_projective(tree, seed).pos
+    heads = [0] * tree.n
+    for v in range(1, tree.n + 1):
+        heads[pos[v] - 1] = pos[tree.parent[v]] if tree.parent[v] else 0
+    return tree_from_heads(heads)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 25), st.integers(0, 2**32 - 1), st.booleans()),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_block_exact_columns_equal_the_per_sentence_oracles(specs):
+    # a block of 1 to 20 sentences, some relabeled to be projective
+    trees = []
+    for n, seed, projective in specs:
+        tree = random_tree(n, seed)
+        trees.append(_projective_relabel(tree, seed) if projective else tree)
+    sentences = tuple(TreebankSentence(str(i), (), t) for i, t in enumerate(trees))
+    for tree, analysis in zip(trees, _analyze_block((0, sentences, (1,), 0))):
+        surface = LinearArrangement.identity(tree.n)
+        assert analysis.observed_standard == oracle_edge_sum(tree, surface)
+        assert analysis.projective == is_projective(tree, surface)
+        assert analysis.exact == expected_sum_projective(tree)
+        assert analysis.arrangement_count == count_projective(tree)
 
 
 def test_analyze_error_means_shrink_with_z():
