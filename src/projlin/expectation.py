@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .arrangement import VARIANTS
 from .errors import OutOfRange
 from .tree import RootedTree, _check_class_args
@@ -44,11 +46,17 @@ def edge_length_probability(n: int, d: int) -> Fraction:
     return Fraction(2 * (n - d), n * (n - 1))
 
 
-def _closed_numerator(tree: RootedTree) -> int:
-    """-1 + sum over v of n_v (2 d_v + 1), from the tree's stored arrays."""
-    size = tree.size_array
-    out_degree = tree.out_degree_array
-    return int(size[1:] @ (2 * out_degree[1:] + 1)) - 1
+def _closed_numerators(
+    size_array: np.ndarray, out_degree_array: np.ndarray, starts
+) -> list[int]:
+    """-1 + sum over v of n_v (2 d_v + 1), for every tree of a forest.
+
+    The arrays are indexed by vertex (slot 0 unused) and hold trees laid
+    end to end, tree i from vertex ``starts[i] + 1`` (``tree._forest``); a
+    single tree is ``starts = [0]``.  The int64 sums are exact below 2^63.
+    """
+    terms = size_array[1:] * (2 * out_degree_array[1:] + 1)
+    return [total - 1 for total in np.add.reduceat(terms, starts).tolist()]
 
 
 def expected_sum_projective(tree: RootedTree, variant: str = "standard") -> Fraction:
@@ -59,7 +67,7 @@ def expected_sum_projective(tree: RootedTree, variant: str = "standard") -> Frac
     """
     if variant not in VARIANTS:
         raise OutOfRange(f"unknown variant {variant!r}")
-    numerator = _closed_numerator(tree)
+    (numerator,) = _closed_numerators(tree.size_array, tree.out_degree_array, [0])
     if variant == "minus_one":
         numerator += 6 - 6 * tree.n
     return Fraction(numerator, 6)

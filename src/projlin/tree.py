@@ -197,12 +197,7 @@ class _Forest(NamedTuple):
 
 
 def _forest(trees: Sequence[RootedTree]) -> _Forest:
-    """Lay the trees end to end, in order; one tree keeps its own arrays
-    and cached block plan."""
-    if len(trees) == 1:
-        (tree,) = trees
-        arrays = (tree.parent_array, tree.size_array, tree.out_degree_array)
-        return _Forest(tree.n, *arrays, np.zeros(1, dtype=np.int64), tree.blocks)
+    """Lay the trees end to end, in order."""
     counts = np.array([tree.n for tree in trees], dtype=np.int64)
     starts = np.cumsum(counts) - counts
     parent, size, out_degree = (

@@ -38,6 +38,7 @@ import numpy as np
 from ._digits import exact_str
 from .arrangement import count_projective
 from .errors import OutOfRange, ProjlinError
+from .expectation import _closed_numerators
 from .montecarlo import ErrorStats, _forest_totals, aggregate_errors, relative_error
 from .tree import RootedTree, _check_seed, _Forest, _forest, tree_from_heads
 
@@ -220,9 +221,8 @@ def _analyze_block(
     forest = _forest([sentence.tree for sentence in sentences])
     parent = forest.parent_array[1:]
     starts = forest.starts
-    # the closed form (1/6)(-1 + sum over v of n_v (2 d_v + 1)), per sentence
-    terms = forest.size_array[1:] * (2 * forest.out_degree_array[1:] + 1)
-    exact = [Fraction(total - 1, 6) for total in np.add.reduceat(terms, starts).tolist()]
+    numerators = _closed_numerators(forest.size_array, forest.out_degree_array, starts)
+    exact = [Fraction(numerator, 6) for numerator in numerators]
     spans = np.abs(np.arange(1, forest.n + 1) - parent) * (parent != 0)
     observed = np.add.reduceat(spans, starts).tolist()
     projective = _surface_projective(forest).tolist()
