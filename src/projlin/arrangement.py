@@ -49,16 +49,8 @@ class LinearArrangement:
     __slots__ = ("pos", "inverse")
 
     def __init__(self, positions: Sequence[int]):
-        pos = (0,) + tuple(int(p) for p in positions)
-        n = len(pos) - 1
-        inverse = [0] * (n + 1)
-        for v in range(1, n + 1):
-            p = pos[v]
-            if not 1 <= p <= n or inverse[p]:
-                raise OutOfRange(f"positions are not a bijection onto 1..{n}")
-            inverse[p] = v
-        self.pos = pos
-        self.inverse = tuple(inverse)
+        self.pos = (0,) + tuple(int(p) for p in positions)
+        self.inverse = _invert(self.pos, "positions are not a bijection onto")
 
     @classmethod
     def _of_bijection(cls, positions: np.ndarray) -> "LinearArrangement":
@@ -78,14 +70,10 @@ class LinearArrangement:
     @classmethod
     def from_inverse(cls, vertices_by_position: Sequence[int]) -> "LinearArrangement":
         """Build from the sequence of vertex ids read left to right."""
-        seq = list(vertices_by_position)
-        n = len(seq)
-        pos = [0] * n
-        for p, v in enumerate(seq, start=1):
-            if not 1 <= v <= n or pos[v - 1]:
-                raise OutOfRange(f"vertex sequence is not a permutation of 1..{n}")
-            pos[v - 1] = p
-        return cls(pos)
+        arrangement = cls.__new__(cls)
+        arrangement.inverse = (0, *map(int, vertices_by_position))
+        arrangement.pos = _invert(arrangement.inverse, "vertex sequence is not a permutation of")
+        return arrangement
 
     @property
     def n(self) -> int:
@@ -101,6 +89,19 @@ class LinearArrangement:
 
     def __repr__(self):
         return f"LinearArrangement({' '.join(str(v) for v in self.inverse[1:])!r})"
+
+
+def _invert(bijection: tuple, what: str) -> tuple[int, ...]:
+    """The inverse of a bijection of 1..n stored from index 1; anything
+    else raises OutOfRange, ``what`` 1..n."""
+    n = len(bijection) - 1
+    inverse = [0] * (n + 1)
+    for i in range(1, n + 1):
+        x = bijection[i]
+        if not 1 <= x <= n or inverse[x]:
+            raise OutOfRange(f"{what} 1..{n}")
+        inverse[x] = i
+    return tuple(inverse)
 
 
 def _check_same_size(tree: RootedTree, arrangement: LinearArrangement) -> None:
@@ -158,6 +159,20 @@ def is_projective(tree: RootedTree, arrangement: LinearArrangement) -> bool:
     return True
 
 
+def _identity_projective(forest: RootedTree | _Forest) -> np.ndarray:
+    """Whether each tree's identity arrangement is projective, as a bool
+    array; :func:`is_projective` is the oracle.
+
+    The identity is projective exactly when it equals the projective
+    arrangement that orders every block by label: v's own slot by v, each
+    child c's segment by c, a label inside it.  No two labels tie.
+    """
+    labels = np.arange(1, forest.n + 1)
+    keys = np.concatenate((labels, np.flatnonzero(forest.parent_array)))[None]
+    offsets = _ordered_blocks(forest.blocks, _segment_lengths(forest), keys)
+    return np.logical_and.reduceat(_positions(forest, offsets)[0] == labels, forest.starts)
+
+
 def is_planar(tree: RootedTree, arrangement: LinearArrangement) -> bool:
     """True when no two edges cross when drawn above the positions.
 
@@ -206,8 +221,11 @@ def enumerate_projective(
     The stream is deterministic: for each vertex the orders of its
     segments are visited lexicographically, with the root's permutation
     varying slowest.  Raises CapExceeded when the total count is above
-    ``cap`` (the count grows factorially with the degrees).
+    ``cap`` (the count grows factorially with the degrees), and OutOfRange
+    for a negative ``cap``.
     """
+    if cap < 0:
+        raise OutOfRange(f"cap must be non-negative, got {cap}")
     total = count_projective(tree)
     if total > cap:
         raise CapExceeded(f"{total} projective arrangements exceed the cap of {cap}")
@@ -240,6 +258,13 @@ def enumerate_projective(
         yield LinearArrangement.from_inverse(sequence)
 
 
+def _segment_lengths(forest: RootedTree | _Forest) -> np.ndarray:
+    """Every own slot has length 1, every child's segment its subtree size."""
+    return np.concatenate(
+        (np.ones(forest.n, dtype=np.int64), forest.size_array[forest.parent_array != 0])
+    )
+
+
 def _segment_offsets(
     tree: RootedTree | _Forest, z: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
@@ -266,10 +291,7 @@ def _segment_offsets(
     tree's draw with it; the kept rows are still the first z tie-free ones,
     so each tree's draws stay exactly uniform and independent.
     """
-    # every own slot has length 1, every child's segment its subtree size
-    length = np.concatenate(
-        (np.ones(tree.n, dtype=np.int64), tree.size_array[tree.parent_array != 0])
-    )
+    length = _segment_lengths(tree)
     chunk = max(1, _CHUNK_CELLS // length.size)
     while z:
         keys = rng.integers(0, 2**64, size=(min(z, chunk), length.size), dtype=np.uint64)
@@ -329,20 +351,22 @@ def _ordered_blocks(
     return out if tied is None else out[~tied]
 
 
-def _positions(tree: RootedTree, offsets: np.ndarray) -> np.ndarray:
+def _positions(forest: RootedTree | _Forest, offsets: np.ndarray) -> np.ndarray:
     """Positions of vertices 1..n, one row per row of segment offsets.
 
-    A block starts at 1 plus the offsets of the child segments on the path
-    from its vertex up to the root: pointer doubling sums them in an
-    (n + 1, rows) start matrix, whose gathers by vertex read whole rows.  A
-    vertex sits at its own offset from the start of its block, so each row
-    is a bijection onto 1..n.
+    Tree i of the forest (or the one tree) takes positions from
+    ``starts[i] + 1``: a block starts there plus the offsets of the child
+    segments on the path up to its root (a vertex with parent 0), summed
+    by pointer doubling in an (n + 1, rows) start matrix, whose gathers by
+    vertex read whole rows.  A vertex sits at its own offset from the
+    start of its block, so each row is a bijection onto 1..n.
     """
-    n = tree.n
+    n = forest.n
+    parent = forest.parent_array
     start = np.zeros((n + 1, len(offsets)), dtype=np.int64)
-    start[np.flatnonzero(tree.parent_array)] = offsets[:, n:].T
-    start[tree.root] = 1
-    jump = tree.parent_array
+    start[np.flatnonzero(parent)] = offsets[:, n:].T
+    start[np.flatnonzero(parent[1:] == 0) + 1] = forest.starts[:, None] + 1
+    jump = parent
     while np.count_nonzero(jump):
         start += start[jump]
         jump = jump[jump]

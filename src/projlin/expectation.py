@@ -19,7 +19,7 @@ import numpy as np
 
 from .arrangement import VARIANTS
 from .errors import OutOfRange
-from .tree import RootedTree, _check_class_args
+from .tree import RootedTree, _check_class_args, _Forest
 
 
 def expected_sum_unconstrained(n: int) -> Fraction:
@@ -46,17 +46,12 @@ def edge_length_probability(n: int, d: int) -> Fraction:
     return Fraction(2 * (n - d), n * (n - 1))
 
 
-def _closed_numerators(
-    size_array: np.ndarray, out_degree_array: np.ndarray, starts
-) -> list[int]:
-    """-1 + sum over v of n_v (2 d_v + 1), for every tree of a forest.
-
-    The arrays are indexed by vertex (slot 0 unused) and hold trees laid
-    end to end, tree i from vertex ``starts[i] + 1`` (``tree._forest``); a
-    single tree is ``starts = [0]``.  The int64 sums are exact below 2^63.
-    """
-    terms = size_array[1:] * (2 * out_degree_array[1:] + 1)
-    return [total - 1 for total in np.add.reduceat(terms, starts).tolist()]
+def _closed_numerators(forest: RootedTree | _Forest) -> list[int]:
+    """-1 + sum over v of n_v (2 d_v + 1) for every tree of a forest (or the
+    one tree), tree i being the vertex range from ``starts[i] + 1``; the
+    int64 sums are exact below 2^63."""
+    terms = forest.size_array[1:] * (2 * forest.out_degree_array[1:] + 1)
+    return [total - 1 for total in np.add.reduceat(terms, forest.starts).tolist()]
 
 
 def expected_sum_projective(tree: RootedTree, variant: str = "standard") -> Fraction:
@@ -67,7 +62,7 @@ def expected_sum_projective(tree: RootedTree, variant: str = "standard") -> Frac
     """
     if variant not in VARIANTS:
         raise OutOfRange(f"unknown variant {variant!r}")
-    (numerator,) = _closed_numerators(tree.size_array, tree.out_degree_array, [0])
+    (numerator,) = _closed_numerators(tree)
     if variant == "minus_one":
         numerator += 6 - 6 * tree.n
     return Fraction(numerator, 6)

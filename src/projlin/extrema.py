@@ -144,9 +144,12 @@ def min_expected_sum(n: int, memo: MemoTable | None = None, cap: int = DEFAULT_M
     Minimizers come with the fewest root children first.  ``cap`` bounds
     n: the value table takes O(n^2) steps per size, but every minimizer
     is built as a tree and their number grows fast (2,653 at n = 120).
+    A negative ``cap`` raises OutOfRange.
     """
     if n < 1:
         raise OutOfRange(f"n must be positive, got {n}")
+    if cap < 0:
+        raise OutOfRange(f"cap must be non-negative, got {cap}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the cap of {cap}; raise cap= to override")
     if memo is None:
@@ -184,10 +187,12 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_TREE_ENUM_CAP) -> Iterator
     partitions of m - 1 and combining previously built subtree lists with
     the duplicate-free forest product.  Distinct partitions give distinct
     child-size multisets, hence no tree appears twice.  Trees come with
-    the fewest root children first.
+    the fewest root children first.  A negative ``cap`` raises OutOfRange.
     """
     if n < 1:
         raise OutOfRange(f"n must be positive, got {n}")
+    if cap < 0:
+        raise OutOfRange(f"cap must be non-negative, got {cap}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the cap of {cap}; raise cap= to override")
     by_size: dict[int, list[RootedTree]] = {}

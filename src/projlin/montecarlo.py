@@ -1,23 +1,18 @@
 """Monte Carlo estimation of the projective expectation, with error stats.
 
 The estimator averages the total edge length over z independent uniform
-projective arrangements, drawn by the same sampler as
-:func:`projlin.arrangement.sample_projective`: the estimate from a seed
-is exactly the mean edge-length sum of z successive ``sample_projective``
-draws from ``numpy.random.default_rng(seed)``.  It needs no positions,
-only each segment's offset inside its block, which it sums over the
-chunks of draws that :func:`projlin.arrangement._segment_offsets` yields,
-the one draw loop behind ``sample_projective`` and ``projlin sample`` too:
-every draw gives each segment a uniform 64-bit key and orders each block
-by key, and a draw in which two segments of one block share a key is
-dropped and replaced by the next draw of the stream.
+projective arrangements from the one draw loop,
+:func:`projlin.arrangement._segment_offsets`, that also feeds
+:func:`projlin.arrangement.sample_projective` and ``projlin sample``: the
+estimate from a seed is exactly the mean edge-length sum of z successive
+``sample_projective`` draws from ``numpy.random.default_rng(seed)``.  It
+needs no positions, only each segment's offset inside its block.
 
 There is one kernel, :func:`_edge_sums`, over a forest of trees laid end
-to end (``tree._forest``): a single tree is the one-tree forest, and the
-treebank pipeline draws a block of sentences at once, one draw-loop call
-per (block, z) instead of one per (sentence, z).  A draw of a forest is
-one row of keys over all its trees, so a tie in any tree redraws the row
-for every tree of the block.
+to end (``tree._forest``): a ``RootedTree`` is the one-tree forest, and
+the treebank pipeline draws a block of sentences at once, one draw-loop
+call per (block, z).  A draw of a forest is one row of keys over all its
+trees, so a tie in any tree redraws the row for every tree of the block.
 
 Relative errors of estimates against exact values are aggregated per tree
 size with percentile-bootstrap confidence intervals, matching the usual
@@ -34,7 +29,7 @@ import numpy as np
 
 from .arrangement import _segment_offsets
 from .errors import OutOfRange, ZeroExact
-from .tree import RootedTree, _check_seed, _Forest, _forest, _generator
+from .tree import RootedTree, _check_seed, _Forest, _generator
 
 # Keep each block of bootstrap indices around 8 MB regardless of group size.
 _BOOTSTRAP_CELLS = 1_000_000
@@ -65,7 +60,7 @@ class ErrorStats:
     ci_high: float
 
 
-def _edge_sums(forest: _Forest, offsets: np.ndarray) -> np.ndarray:
+def _edge_sums(forest: RootedTree | _Forest, offsets: np.ndarray) -> np.ndarray:
     """Total edge length of every tree of the forest in every row of offsets.
 
     The Monte Carlo kernel: ``offsets`` is a chunk from
@@ -90,7 +85,7 @@ def _edge_sums(forest: _Forest, offsets: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _forest_totals(forest: _Forest, z: int, rng: np.random.Generator) -> list[int]:
+def _forest_totals(forest: RootedTree | _Forest, z: int, rng: np.random.Generator) -> list[int]:
     """Every tree's edge-length sum over z draws of the whole forest.
 
     The chunks' int64 column sums are added up as Python ints, so the
@@ -118,7 +113,7 @@ def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     """
     if z < 1:
         raise OutOfRange(f"z must be positive, got {z}")
-    (total,) = _forest_totals(_forest((tree,)), z, _generator(seed))
+    (total,) = _forest_totals(tree, z, _generator(seed))
     return MCEstimate(z, total / z, seed)
 
 

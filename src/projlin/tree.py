@@ -79,6 +79,8 @@ class RootedTree:
         order: all vertices in breadth-first order from the root.
         blocks: the segment ids of every block of two or more segments,
             grouped by size (see :func:`_block_plan`).
+        starts: ``[0]``, read-only and shared by every tree: a tree is the
+            one-tree :class:`_Forest`, with every field the kernels read.
     """
 
     __slots__ = (
@@ -92,6 +94,9 @@ class RootedTree:
         "_order",
         "_blocks",
     )
+
+    starts = np.zeros(1, dtype=np.int64)
+    starts.flags.writeable = False
 
     def __init__(self, n, root, parent_array, size_array, out_degree_array):
         for array in (parent_array, size_array, out_degree_array):
@@ -186,6 +191,7 @@ class _Forest(NamedTuple):
     :func:`_block_plan` of the whole forest, so one draw orders the blocks
     of every tree, and tree i's non-root vertices, taken in ascending
     order, are the contiguous range from ``starts[i] - i`` of the forest's.
+    A :class:`RootedTree` is the one-tree forest, with ``starts = [0]``.
     """
 
     n: int

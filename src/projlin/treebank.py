@@ -18,12 +18,10 @@ requested sample count.
 
 Sentences are analyzed in blocks of ``_BLOCK_SENTENCES`` consecutive
 accepted ones, each laid out as one forest (``tree._forest``).  The exact
-columns come from the forest's arrays, one ``np.add.reduceat`` per column
-over the sentences' vertex ranges, and the Monte Carlo columns from one
-draw-loop call per (block, z), which costs about as much as one call per
-(sentence, z) did.  Seeds are derived from the (block index, z index),
-so results do not depend on scheduling, and the blocks can be spread
-over a process pool.
+columns are reduced from the forest's arrays over each sentence's vertex
+range, and the Monte Carlo columns come from one draw-loop call per
+(block, z), seeded from the (block index, z index), so results do not
+depend on scheduling and the blocks can be spread over a process pool.
 """
 
 from __future__ import annotations
@@ -36,11 +34,11 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._digits import exact_str
-from .arrangement import count_projective
+from .arrangement import _identity_projective, count_projective
 from .errors import OutOfRange, ProjlinError
 from .expectation import _closed_numerators
 from .montecarlo import ErrorStats, _forest_totals, aggregate_errors, relative_error
-from .tree import RootedTree, _check_seed, _Forest, _forest, tree_from_heads
+from .tree import RootedTree, _check_seed, _forest, tree_from_heads
 
 # Sentences drawn together as one forest.  On the benchmark's 200-sentence
 # corpus at z = 10, 100 and 1000, 8 to 32 timed alike and 16 best; larger
@@ -190,42 +188,18 @@ def _derived_seed(seed: int, index: int, which: int) -> int:
     return int(entropy.generate_state(1, np.uint64)[0])
 
 
-def _surface_projective(forest: _Forest) -> np.ndarray:
-    """Whether each tree's identity arrangement is projective.
-
-    The interval criterion of :func:`projlin.arrangement.is_projective`:
-    every subtree's labels span exactly its size.  The least and greatest
-    label below every vertex come from pointer doubling, as the subtree
-    sizes do in ``tree._doubling_kernel``: each round every vertex pushes
-    the extremes it has seen to the ancestor ``jump`` links up, then the
-    jump doubles.  Slot 0 collects the pushes of the vertices without such
-    an ancestor and is never read.
-    """
-    lo = np.arange(forest.n + 1)
-    hi = lo.copy()
-    jump = forest.parent_array
-    while np.count_nonzero(jump):
-        np.minimum.at(lo, jump, lo.copy())
-        np.maximum.at(hi, jump, hi.copy())
-        jump = jump[jump]
-    spread = hi[1:] - lo[1:] + 1 != forest.size_array[1:]
-    return ~np.logical_or.reduceat(spread, forest.starts)
-
-
 def _analyze_block(
     payload: tuple[int, tuple[TreebankSentence, ...], tuple[int, ...], int]
 ) -> tuple[SentenceAnalysis, ...]:
     """The analyses of one block of sentences, drawn as one forest; the
-    exact columns are int64 sums over each sentence's vertex range."""
+    exact columns are reduced over each sentence's vertex range."""
     index, sentences, z_values, seed = payload
     forest = _forest([sentence.tree for sentence in sentences])
     parent = forest.parent_array[1:]
-    starts = forest.starts
-    numerators = _closed_numerators(forest.size_array, forest.out_degree_array, starts)
-    exact = [Fraction(numerator, 6) for numerator in numerators]
+    exact = [Fraction(numerator, 6) for numerator in _closed_numerators(forest)]
     spans = np.abs(np.arange(1, forest.n + 1) - parent) * (parent != 0)
-    observed = np.add.reduceat(spans, starts).tolist()
-    projective = _surface_projective(forest).tolist()
+    observed = np.add.reduceat(spans, forest.starts).tolist()
+    projective = _identity_projective(forest).tolist()
     estimates = []  # per z, one (z, estimate, relative error) per sentence
     for which, z in enumerate(z_values):
         rng = np.random.default_rng(_derived_seed(seed, index, which))

@@ -16,10 +16,12 @@ from projlin import (
     combine_forests,
     count_projective,
     enumerate_projective,
+    enumerate_rooted_trees,
     expected_sum_projective,
     is_planar,
     is_projective,
     make_class,
+    min_expected_sum,
     parse_head_vector,
     random_tree,
     sample_projective,
@@ -64,6 +66,9 @@ def test_arrangement_validation():
         lambda: aggregate_errors([]),
         lambda: list(combine_forests([1, 2], [[build_tree(1, [], 1)]])),
         lambda: list(combine_forests([1], [[]])),
+        lambda: list(enumerate_projective(CHAIN3, cap=-1)),
+        lambda: list(enumerate_rooted_trees(3, cap=-1)),
+        lambda: min_expected_sum(3, cap=-1),
     ],
     ids=[
         "positions",
@@ -74,6 +79,9 @@ def test_arrangement_validation():
         "no_records",
         "forest_lengths",
         "forest_no_candidates",
+        "enumerate_negative_cap",
+        "rooted_trees_negative_cap",
+        "minima_negative_cap",
     ],
 )
 def test_bad_arguments_raise_out_of_range(call):
@@ -366,6 +374,24 @@ def test_every_chunk_holds_at_most_the_cell_budget_in_rows(monkeypatch, cells):
         chunks = list(arrangement._segment_offsets(forest, z, NarrowKeys(5, 12)))
         assert sum(len(offsets) for offsets in chunks) == z
         assert all(offsets.shape[1] == columns and 1 <= len(offsets) <= limit for offsets in chunks)
+
+
+def test_forest_positions_are_each_trees_positions_shifted_by_its_start():
+    # one-vertex trees have no block and no edge column; every tree's
+    # columns of the forest's positions are its own draw, moved to start
+    # at starts[i] + 1
+    rng = np.random.default_rng(88)
+    trees = [random_tree(1, 0), make_class("star_hub", 12), random_tree(1, 1), caterpillar(3, 4)]
+    trees += [random_tree(int(rng.integers(1, 30)), rng) for _ in range(8)] + [random_tree(1, 2)]
+    forest = _forest(trees)
+    offsets = np.concatenate(list(arrangement._segment_offsets(forest, 20, NarrowKeys(3, 8))))
+    positions = arrangement._positions(forest, offsets)
+    for i, (tree, start) in enumerate(zip(trees, forest.starts.tolist())):
+        own = offsets[:, start : start + tree.n]
+        first_edge = forest.n + start - i  # each earlier tree has one root
+        edges = offsets[:, first_edge : first_edge + tree.n - 1]
+        alone = arrangement._positions(tree, np.concatenate((own, edges), axis=1))
+        assert np.array_equal(positions[:, start : start + tree.n], alone + start), tree
 
 
 def test_sampler_uniform_on_eight_vertex_tree_when_keys_tie():

@@ -154,6 +154,9 @@ def test_exit_codes(capsys):
     assert code == EXIT_VALIDATION and err.startswith("BadRoot")
     code, _, err = run(capsys, "enumerate", "--tree", "0 1 1 1 1 1 1 1", "--cap", "10")
     assert code == EXIT_CAP and err.startswith("CapExceeded")
+    for argv in (("enumerate", "--tree", "0 1", "--cap", "-1"), ("minima", "--n", "3", "--cap", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION and out == "" and err.startswith("OutOfRange"), argv
     code, _, err = run(capsys, "nonsense")
     assert code == EXIT_USAGE
 

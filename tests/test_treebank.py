@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projlin import (
@@ -18,6 +18,7 @@ from projlin import (
     count_projective,
     expected_sum_projective,
     is_projective,
+    make_class,
     parse_conllu,
     parse_head_vector,
     random_tree,
@@ -367,20 +368,38 @@ def _projective_relabel(tree, seed):
     return tree_from_heads(heads)
 
 
+# a 12-vertex star rooted at its leaf 6: the hub 1's block of 11 segments
+# takes the sort branch of the block kernel, and this labeling is not
+# projective (the hub's subtree skips label 6)
+LEAF_ROOTED_STAR = parse_head_vector("6 1 1 1 1 0 1 1 1 1 1 1")
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(1, 25), st.integers(0, 2**32 - 1), st.booleans()),
+        st.tuples(
+            st.builds(random_tree, st.integers(1, 25), st.integers(0, 2**32 - 1)),
+            st.integers(0, 2**32 - 1),
+            st.booleans(),
+        ),
         min_size=1,
         max_size=20,
     )
 )
+@example([(random_tree(1, 0), 0, False)] * 5)
+@example(
+    [
+        (make_class("star_hub", 12), 7, True),
+        (make_class("star_hub", 12), 7, False),
+        (LEAF_ROOTED_STAR, 7, True),
+        (LEAF_ROOTED_STAR, 7, False),
+    ]
+)
 def test_block_exact_columns_equal_the_per_sentence_oracles(specs):
     # a block of 1 to 20 sentences, some relabeled to be projective
-    trees = []
-    for n, seed, projective in specs:
-        tree = random_tree(n, seed)
-        trees.append(_projective_relabel(tree, seed) if projective else tree)
+    trees = [
+        _projective_relabel(tree, seed) if projective else tree for tree, seed, projective in specs
+    ]
     sentences = tuple(TreebankSentence(str(i), (), t) for i, t in enumerate(trees))
     for tree, analysis in zip(trees, _analyze_block((0, sentences, (1,), 0))):
         surface = LinearArrangement.identity(tree.n)
