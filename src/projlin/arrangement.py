@@ -33,9 +33,10 @@ VARIANTS = ("standard", "minus_one")
 # keys, larger ones (stars and the like) by a sort of their own rows.
 _PAIRWISE_MAX_SEGMENTS = 8
 
-# Keep each matrix of sampled keys or offsets at about 2^16 cells (512 kB),
-# so that a chunk and its temporaries stay in the L2 cache for any tree or
-# forest size; a row wider than that is drawn alone.
+# Keep each matrix of sampled keys or offsets at about 2^16 cells (512 kB of
+# keys, their segment-major copy, 256 kB of offsets), so that a chunk and
+# its temporaries stay in the L2 cache for any tree or forest size; a row
+# wider than that is drawn alone.
 _CHUNK_CELLS = 65_536
 
 
@@ -168,9 +169,9 @@ def _identity_projective(forest: RootedTree | _Forest) -> np.ndarray:
     child c's segment by c, a label inside it.  No two labels tie.
     """
     labels = np.arange(1, forest.n + 1)
-    keys = np.concatenate((labels, np.flatnonzero(forest.parent_array)))[None]
+    keys = np.concatenate((labels, np.flatnonzero(forest.parent_array)))[:, None]
     offsets = _ordered_blocks(forest.blocks, _segment_lengths(forest), keys)
-    return np.logical_and.reduceat(_positions(forest, offsets)[0] == labels, forest.starts)
+    return np.logical_and.reduceat(_positions(forest, offsets.T)[0] == labels, forest.starts)
 
 
 def is_planar(tree: RootedTree, arrangement: LinearArrangement) -> bool:
@@ -222,7 +223,8 @@ def enumerate_projective(
     segments are visited lexicographically, with the root's permutation
     varying slowest.  Raises CapExceeded when the total count is above
     ``cap`` (the count grows factorially with the degrees), and OutOfRange
-    for a negative ``cap``.
+    for a negative ``cap``, both at the call rather than at the first
+    ``next()``.
     """
     if cap < 0:
         raise OutOfRange(f"cap must be non-negative, got {cap}")
@@ -254,14 +256,14 @@ def enumerate_projective(
                         seq.extend(chosen[slot - 1])
                 yield tuple(seq)
 
-    for sequence in walk(tree.root):
-        yield LinearArrangement.from_inverse(sequence)
+    return (LinearArrangement.from_inverse(sequence) for sequence in walk(tree.root))
 
 
 def _segment_lengths(forest: RootedTree | _Forest) -> np.ndarray:
     """Every own slot has length 1, every child's segment its subtree size."""
     return np.concatenate(
-        (np.ones(forest.n, dtype=np.int64), forest.size_array[forest.parent_array != 0])
+        (np.ones(forest.n, dtype=np.int32), forest.size_array[forest.parent_array != 0]),
+        dtype=np.int32,
     )
 
 
@@ -272,11 +274,14 @@ def _segment_offsets(
 
     ``tree`` is one tree or a forest of trees laid end to end.
     Every vertex v owns a block of d_v + 1 segments: v itself and the
-    subtree of each child.  Yields (rows, n + m) int64 chunks, z rows in
+    subtree of each child.  Yields (rows, n + m) int32 chunks, z rows in
     all, where m is the number of non-root vertices (n - 1 for a tree):
     column v - 1 holds the offset of v's own slot in block v and column
     n + j the offset of the subtree of the j-th non-root vertex in its
-    parent's block.
+    parent's block.  Each chunk is the transposed view of a C-contiguous
+    (n + m, rows) array, so one segment's offsets in every row are one
+    contiguous run; an offset is below n, which fits int32 for any tree
+    the block plan's int32 ids allow.
 
     A draw gives each segment an independent uniform 64-bit key, one
     ``rng.integers`` row, and orders every block by key: a segment's
@@ -295,10 +300,10 @@ def _segment_offsets(
     chunk = max(1, _CHUNK_CELLS // length.size)
     while z:
         keys = rng.integers(0, 2**64, size=(min(z, chunk), length.size), dtype=np.uint64)
-        offsets = _ordered_blocks(tree.blocks, length, keys)
-        if len(offsets):
-            z -= len(offsets)
-            yield offsets
+        offsets = _ordered_blocks(tree.blocks, length, np.ascontiguousarray(keys.T))
+        if offsets.shape[1]:
+            z -= offsets.shape[1]
+            yield offsets.T
         del keys, offsets  # hold no chunk while the next is drawn
 
 
@@ -307,48 +312,51 @@ def _ordered_blocks(
 ) -> np.ndarray:
     """Segment offsets for the rows of keys without a tie in any block.
 
-    The blocks of one size are handled together, from the plan in
-    ``tree.blocks``: a leaf's block needs nothing (offset 0), two segments
-    one comparison, up to ``_PAIRWISE_MAX_SEGMENTS`` segments a comparison
-    of every pair, and larger blocks a sort of their own rows.  Each group
-    is checked for equal keys at once, by the same comparisons; only a
-    group where that check fires is searched for the tied rows to drop.
+    ``keys`` is segment-major, (segments, rows), and so is the int32
+    result, so every gather of a group's keys and every scatter of its
+    offsets moves whole rows.  The blocks of one size are handled
+    together, from the plan in ``tree.blocks``: a leaf's block needs
+    nothing (offset 0), two segments one comparison, up to
+    ``_PAIRWISE_MAX_SEGMENTS`` segments a comparison of every pair, and
+    larger blocks a sort of their own columns.  Each group is checked for
+    equal keys at once, by the same comparisons; only a group where that
+    check fires is searched for the tied rows to drop.
     """
-    out = np.zeros(keys.shape, dtype=np.int64)
+    out = np.zeros(keys.shape, dtype=np.int32)
     tied = None
     for segments in blocks:
-        key = keys[:, segments]  # (z, blocks, segments per block)
+        key = keys[segments]  # (blocks, segments per block, z)
         k = segments.shape[1]
         if k == 2:
             # the vertex's own slot (length 1) and its one child's subtree
             own, child = segments.T
-            own_later = key[..., 0] > key[..., 1]
-            out[:, own] = own_later * length[child]
-            out[:, child] = ~own_later
-            tie = np.count_nonzero(key[..., 0] == key[..., 1])
+            own_later = key[:, 0] > key[:, 1]
+            out[own] = own_later * length[child, None]
+            out[child] = ~own_later
+            tie = np.count_nonzero(key[:, 0] == key[:, 1])
         else:
             lengths = length[segments]
             if k <= _PAIRWISE_MAX_SEGMENTS:
-                # earlier[..., i, j]: segment j precedes segment i in its
+                # earlier[:, i, j]: segment j precedes segment i in its
                 # block; without ties, one of every pair does
-                earlier = key[..., None, :] < key[..., :, None]
-                offset = np.einsum("zbij,bj->zbi", earlier, lengths)
+                earlier = key[:, None] < key[:, :, None]
+                offset = np.einsum("bijz,bj->biz", earlier, lengths)
                 tie = np.count_nonzero(earlier) != key.size * (k - 1) // 2
             else:
-                order = np.argsort(key, axis=2)
-                ranked = np.take_along_axis(key, order, axis=2)
-                tie = np.count_nonzero(ranked[..., 1:] == ranked[..., :-1])
-                placed = np.take_along_axis(np.broadcast_to(lengths, key.shape), order, axis=2)
-                before = np.cumsum(placed, axis=2)
+                order = np.argsort(key, axis=1)
+                ranked = np.take_along_axis(key, order, axis=1)
+                tie = np.count_nonzero(ranked[:, 1:] == ranked[:, :-1])
+                placed = np.take_along_axis(np.broadcast_to(lengths[..., None], key.shape), order, axis=1)
+                before = np.cumsum(placed, axis=1, dtype=np.int32)
                 before -= placed
                 offset = np.empty_like(before)
-                np.put_along_axis(offset, order, before, axis=2)
-            out[:, segments] = offset
+                np.put_along_axis(offset, order, before, axis=1)
+            out[segments] = offset
         if tie:
-            ranked = np.sort(key, axis=2)
-            rows = (ranked[..., 1:] == ranked[..., :-1]).any(axis=(1, 2))
+            ranked = np.sort(key, axis=1)
+            rows = (ranked[:, 1:] == ranked[:, :-1]).any(axis=(0, 1))
             tied = rows if tied is None else tied | rows
-    return out if tied is None else out[~tied]
+    return out if tied is None else out[:, ~tied]
 
 
 def _positions(forest: RootedTree | _Forest, offsets: np.ndarray) -> np.ndarray:

@@ -187,7 +187,9 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_TREE_ENUM_CAP) -> Iterator
     partitions of m - 1 and combining previously built subtree lists with
     the duplicate-free forest product.  Distinct partitions give distinct
     child-size multisets, hence no tree appears twice.  Trees come with
-    the fewest root children first.  A negative ``cap`` raises OutOfRange.
+    the fewest root children first.  n < 1 or a negative ``cap`` raises
+    OutOfRange and n above ``cap`` CapExceeded, at the call rather than at
+    the first ``next()``.
     """
     if n < 1:
         raise OutOfRange(f"n must be positive, got {n}")
@@ -195,6 +197,12 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_TREE_ENUM_CAP) -> Iterator
         raise OutOfRange(f"cap must be non-negative, got {cap}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the cap of {cap}; raise cap= to override")
+    return _rooted_trees(n)
+
+
+def _rooted_trees(n: int) -> Iterator[RootedTree]:
+    """The generator behind :func:`enumerate_rooted_trees`, whose checks run
+    at the call rather than at the first ``next()``."""
     by_size: dict[int, list[RootedTree]] = {}
     for m in range(1, n + 1):
         by_size[m] = [

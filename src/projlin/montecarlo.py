@@ -67,21 +67,23 @@ def _edge_sums(forest: RootedTree | _Forest, offsets: np.ndarray) -> np.ndarray:
     :func:`projlin.arrangement._segment_offsets` of the forest, and the
     result a (rows, trees) int64 matrix.  Edge (p, c) has length
     |seg(c) + own(c) - own(p)|: c's segment offset in block p, c's own
-    offset in block c, p's in block p.  A tree's edges are one contiguous
-    range of columns, summed by ``np.add.reduceat``; a one-vertex tree has
-    none and sums to 0.
+    offset in block c, p's in block p.  The lengths are gathered from the
+    segment-major ``offsets.T``, whole rows at a time, and stay int32; a
+    tree's edges are one contiguous range of them, summed in int64 by
+    ``np.add.reduceat``.  A one-vertex tree has none and sums to 0.
     """
     n = forest.n
     parent = forest.parent_array
     kids = np.flatnonzero(parent)
     sums = np.zeros((len(offsets), forest.starts.size), dtype=np.int64)
     if kids.size:
-        lengths = offsets[:, n:] + offsets[:, kids - 1]
-        lengths -= offsets[:, parent[kids] - 1]
+        columns = offsets.T
+        lengths = columns[n:] + columns[kids - 1]
+        lengths -= columns[parent[kids] - 1]
         np.abs(lengths, out=lengths)
         has_edges = np.diff(forest.starts, append=n) > 1
         first_edge = forest.starts - np.arange(forest.starts.size)
-        sums[:, has_edges] = np.add.reduceat(lengths, first_edge[has_edges], axis=1)
+        sums[:, has_edges] = np.add.reduceat(lengths, first_edge[has_edges], axis=0, dtype=np.int64).T
     return sums
 
 
@@ -150,28 +152,28 @@ def aggregate_errors(
     if not grouped:
         raise OutOfRange("no error records to aggregate")
     tail = 100 * (1 - CONFIDENCE) / 2
-    out = []
-    for n in sorted(grouped):
-        data = np.asarray(grouped[n], dtype=np.float64)
+    sizes = sorted(grouped)
+    data = [np.asarray(grouped[n], dtype=np.float64) for n in sizes]
+    means = np.empty((len(sizes), resamples))
+    for n, values, row in zip(sizes, data, means):
         rng = np.random.default_rng([seed, n])
         # Rows drawn a block at a time are the rows one (resamples, size)
         # draw would give, so the block size does not change the interval.
-        rows = max(1, _BOOTSTRAP_CELLS // data.size)
-        means = np.empty(resamples)
+        rows = max(1, _BOOTSTRAP_CELLS // values.size)
         for start in range(0, resamples, rows):
-            indices = rng.integers(0, data.size, size=(min(rows, resamples - start), data.size))
-            means[start : start + rows] = data[indices].mean(axis=1)
-        low, high = np.percentile(means, [tail, 100 - tail])
-        out.append(
-            ErrorStats(
-                n=n,
-                samples=data.size,
-                mean_err=float(data.mean()),
-                min_err=float(data.min()),
-                max_err=float(data.max()),
-                ci_low=float(low),
-                ci_high=float(high),
-            )
+            indices = rng.integers(0, values.size, size=(min(rows, resamples - start), values.size))
+            row[start : start + rows] = values[indices].mean(axis=1)
+    # means is scratch, so the percentiles may partition it in place
+    low, high = np.percentile(means, [tail, 100 - tail], axis=1, overwrite_input=True).tolist()
+    return [
+        ErrorStats(
+            n=n,
+            samples=values.size,
+            mean_err=float(values.mean()),
+            min_err=float(values.min()),
+            max_err=float(values.max()),
+            ci_low=lo,
+            ci_high=hi,
         )
-    return out
-
+        for n, values, lo, hi in zip(sizes, data, low, high)
+    ]

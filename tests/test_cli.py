@@ -1,6 +1,7 @@
 """CLI surface: outputs, exit codes, determinism, environment seed."""
 
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -13,13 +14,24 @@ import projlin
 from projlin import arrangement, make_class, random_tree, sample_projective
 from projlin.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, format_rational, main
 from fractions import Fraction
-from helpers import caterpillar
+from helpers import caterpillar, random_tree_corpus
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_corpus(path, heads_by_sentence):
+    """A CoNLL-U file with sentence ids s0, s1, ... and the given head lists."""
+    lines = []
+    for i, heads in enumerate(heads_by_sentence):
+        lines.append(f"# sent_id = s{i}")
+        lines += [f"{v}\tw{v}\t_\tX\t_\t_\t{h}\t_\t_\t_" for v, h in enumerate(heads, start=1)]
+        lines.append("")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def test_format_rational():
@@ -112,6 +124,38 @@ def test_sample_prints_successive_sampler_draws(monkeypatch, capsys, chunk_rows)
         assert out == "".join(" ".join(map(str, row)) + "\n" for row in rows), (tree, z)
 
 
+# sha256 of outputs that depend on the sampler's whole stream: the keys
+# drawn, the tied rows dropped, the order of the rows and every offset.
+# Any change to the draw loop that moves a single draw changes them.
+PINNED_STREAMS = {
+    "analyze_sentences": "05ae58f6255a0bdca85bc833ea92191268be21cc417141f974264b870d1373ee",
+    "sample": "98924338db1784f8edecdd22766366f3336c0eacc1caaaaf74ee3527ce940511",
+    "sample_mean": "2f3407d4ba458425b1d05dea34c0354ccb6976a965063922bbcedb4e300c4be8",
+}
+
+
+def test_outputs_of_the_draw_loop_are_pinned(tmp_path, capsys):
+    # random sentences of 1 to 40 words and a 12-vertex star: every block branch
+    trees = random_tree_corpus(48, 1, 40, 601) + [make_class("star_hub", 12)]
+    corpus = write_corpus(tmp_path / "pinned.conllu", [t.head_vector().split() for t in trees])
+    prefix = str(tmp_path / "out")
+    args = ["--input", str(corpus), "--z", "10,100,1000", "--seed", "601", "--out-prefix", prefix]
+    assert run(capsys, "analyze", *args)[0] == EXIT_OK
+    sentences = (tmp_path / "out.sentences.csv").read_bytes()
+    # a 30-vertex caterpillar: blocks of 10 and 11 segments, past the pairwise cut-off
+    tree = ["--tree", caterpillar(3, 9).head_vector()]
+    code, sample, _ = run(capsys, "sample", *tree, "--z", "5", "--seed", "3")
+    assert code == EXIT_OK
+    code, mean, _ = run(capsys, "sample", *tree, "--mean", "--z", "50", "--seed", "3")
+    assert code == EXIT_OK
+    digests = {
+        "analyze_sentences": hashlib.sha256(sentences).hexdigest(),
+        "sample": hashlib.sha256(sample.encode()).hexdigest(),
+        "sample_mean": hashlib.sha256(mean.encode()).hexdigest(),
+    }
+    assert digests == PINNED_STREAMS
+
+
 def test_sample_mean(capsys):
     code, out, _ = run(capsys, "sample", "--tree", "0 1", "--z", "50", "--seed", "1", "--mean")
     assert code == EXIT_OK and out == "1.0\n"
@@ -177,15 +221,7 @@ def test_minima_cap_exit(capsys):
 
 
 def test_analyze_end_to_end(tmp_path, capsys):
-    lines = []
-    heads_by_sentence = [(0,), (2, 0), (2, 0, 2, 3)]
-    for i, heads in enumerate(heads_by_sentence):
-        lines.append(f"# sent_id = s{i}")
-        for v, h in enumerate(heads, start=1):
-            lines.append(f"{v}\tw{v}\t_\tX\t_\t_\t{h}\t_\t_\t_")
-        lines.append("")
-    corpus = tmp_path / "tiny.conllu"
-    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus = write_corpus(tmp_path / "tiny.conllu", [(0,), (2, 0), (2, 0, 2, 3)])
     prefix = str(tmp_path / "out")
     code, out, _ = run(
         capsys, "analyze", "--input", str(corpus), "--z", "10,20", "--seed", "5",
@@ -234,15 +270,7 @@ def test_count_prints_every_digit(capsys):
 
 
 def test_analyze_writes_rows_for_huge_counts(tmp_path, capsys):
-    sentences = [(0,), (0,) + (1,) * 2000, (2, 0)]
-    lines = []
-    for i, heads in enumerate(sentences):
-        lines.append(f"# sent_id = s{i}")
-        for v, h in enumerate(heads, start=1):
-            lines.append(f"{v}\tw{v}\t_\tX\t_\t_\t{h}\t_\t_\t_")
-        lines.append("")
-    corpus = tmp_path / "star.conllu"
-    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus = write_corpus(tmp_path / "star.conllu", [(0,), (0,) + (1,) * 2000, (2, 0)])
     prefix = str(tmp_path / "out")
     code, out, err = run(
         capsys, "analyze", "--input", str(corpus), "--z", "10,20", "--seed", "1",

@@ -124,6 +124,17 @@ def test_estimate_is_the_mean_of_sampler_draws_on_stars_and_caterpillars(monkeyp
         assert estimate_expected_sum(t, z, seed).mean == total / z
 
 
+def test_estimate_sums_past_the_int32_range_exactly():
+    # offsets and edge lengths are int32, but a tree's sum per draw is not:
+    # on a path of 10^5 vertices rooted at one end E[D] is about 2.5e9
+    n = 100_000
+    path = parse_head_vector(" ".join(map(str, range(n))))
+    draws = np.random.default_rng(77)
+    sums = [sum_edge_lengths(path, sample_projective(path, draws)) for _ in range(3)]
+    assert min(sums) > 2**31
+    assert estimate_expected_sum(path, 3, 77).mean == sum(sums) / 3
+
+
 @st.composite
 def tree_lists(draw):
     """1 to 20 uniform random trees of 1 to 30 vertices."""
