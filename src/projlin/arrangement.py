@@ -2,8 +2,9 @@
 
 An arrangement places the n vertices on positions 1..n.  This module
 computes edge-length sums under both the standard and the minus-one
-definition, tests projectivity and planarity, and counts, enumerates, and
-uniformly samples the projective arrangements of a tree.
+definition, tests projectivity and planarity (projectivity at the
+leftmost vertex), and counts, enumerates, and uniformly samples the
+projective arrangements of a tree.
 
 A projective arrangement keeps the vertices of every subtree on
 consecutive positions.  Each vertex v therefore contributes a block made
@@ -23,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, OutOfRange, SizeMismatch
-from .tree import RootedTree, _Forest, _generator
+from .tree import RootedTree, _Forest, _generator, _reroot, tree_from_heads
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -177,28 +178,14 @@ def _identity_projective(forest: RootedTree | _Forest) -> np.ndarray:
 def is_planar(tree: RootedTree, arrangement: LinearArrangement) -> bool:
     """True when no two edges cross when drawn above the positions.
 
-    Edges sharing an endpoint never cross.  The edge spans are scanned by
-    left end, longer spans first, with a stack of the spans still open:
-    spans ending at or before the new left end are closed, and the new
-    span crosses an open one exactly when the innermost open span ends
-    strictly inside it.  O(n log n); the linear interval criterion lives in
-    :func:`is_projective`.
+    An arrangement is projective exactly when no edges cross and no edge
+    covers the root.  No edge covers position 1, so an arrangement is
+    planar exactly when it is projective for the tree rerooted at the
+    vertex there.  O(n), by :func:`is_projective`.
     """
     _check_same_size(tree, arrangement)
-    pos = arrangement.pos
-    parent = tree.parent
-    spans = sorted(
-        (min(pos[v], pos[p]), -max(pos[v], pos[p])) for v, p in enumerate(parent) if p
-    )
-    open_ends: list[int] = []
-    for left, neg_right in spans:
-        right = -neg_right
-        while open_ends and open_ends[-1] <= left:
-            open_ends.pop()
-        if open_ends and open_ends[-1] < right:
-            return False
-        open_ends.append(right)
-    return True
+    parent = _reroot(list(tree.parent), arrangement.inverse[1])
+    return is_projective(tree_from_heads(parent[1:]), arrangement)
 
 
 def count_projective(tree: RootedTree) -> int:

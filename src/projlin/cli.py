@@ -17,6 +17,7 @@ non-negative integers.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from fractions import Fraction
@@ -209,9 +210,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    import itertools
-    from fractions import Fraction as F
-
     failures = 0
 
     def report(ok: bool, label: str) -> None:
@@ -223,6 +221,9 @@ def _cmd_selfcheck(args) -> int:
     memo: extrema.MemoTable = {}
     for n in range(1, args.max_n + 1):
         trees = list(extrema.enumerate_rooted_trees(n))
+        if n <= 6:
+            perms = itertools.permutations(range(1, n + 1))
+            every_arrangement = [arr.LinearArrangement(p) for p in perms]
         count_ok = True
         mean_ok = True
         projective_ok = True
@@ -235,16 +236,12 @@ def _cmd_selfcheck(args) -> int:
             if not all(arr.is_projective(tree, a) for a in enumerated):
                 projective_ok = False
             total = sum(arr.sum_edge_lengths(tree, a) for a in enumerated)
-            exact = F(total, len(enumerated))
+            exact = Fraction(total, len(enumerated))
             closed = expe.expected_sum_projective(tree)
             if exact != closed:
                 mean_ok = False
             if n <= 6:
-                brute = sum(
-                    1
-                    for perm in itertools.permutations(range(1, n + 1))
-                    if arr.is_projective(tree, arr.LinearArrangement(perm))
-                )
+                brute = sum(arr.is_projective(tree, a) for a in every_arrangement)
                 if brute != len(enumerated):
                     bruteforce_ok = False
             values.append(closed)
@@ -262,7 +259,7 @@ def _cmd_selfcheck(args) -> int:
         if n <= 6:
             report(bruteforce_ok, f"n={n}: enumeration count matches the brute-force filter")
         report(
-            maximum == F(n * n - 1, 3) and codes_at(maximum) == [star],
+            maximum == expe.expected_sum_unconstrained(n) and codes_at(maximum) == [star],
             f"n={n}: hub-rooted star is the unique maximizer",
         )
         report(

@@ -77,7 +77,7 @@ def class_formula(tree_class: str, n: int, k: int | None = None) -> tuple[int, F
     """
     k = _check_class_args(tree_class, n, k)
     if tree_class == "star_hub":
-        return math.factorial(n), Fraction(n * n - 1, 3)
+        return math.factorial(n), expected_sum_unconstrained(n)
     if tree_class == "star_leaf":
         return 2 * math.factorial(n - 1), Fraction(n * (2 * n - 1), 6)
     if tree_class == "linear_k":

@@ -28,6 +28,7 @@ from typing import Callable, Dict, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, OutOfRange
+from .expectation import expected_sum_unconstrained
 from .tree import RootedTree, make_class
 
 DEFAULT_MIN_CAP = 20
@@ -56,9 +57,7 @@ def max_expected_sum(n: int) -> tuple[Fraction, RootedTree]:
     For n >= 3 the star is the unique maximizer; for n <= 2 it is the only
     tree there is.
     """
-    if n < 1:
-        raise OutOfRange(f"n must be positive, got {n}")
-    return Fraction(n * n - 1, 3), make_class("star_hub", n)
+    return expected_sum_unconstrained(n), make_class("star_hub", n)
 
 
 def _partitions(

@@ -155,19 +155,10 @@ class RootedTree:
         """
         if not 1 <= v <= self.n:
             raise OutOfRange(f"vertex {v} not in 1..{self.n}")
-        children = self.children
-        relabel = {v: 1}
-        frontier = [v]
-        links = []
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for c in children[u]:
-                    relabel[c] = len(relabel) + 1
-                    links.append((relabel[c], relabel[u]))
-                    nxt.append(c)
-            frontier = nxt
-        return build_tree(len(relabel), links, 1)
+        order = _bfs_order(v, self.children)
+        relabel = {u: i for i, u in enumerate(order, 1)}
+        parent = self.parent
+        return tree_from_heads([0] + [relabel[parent[u]] for u in order[1:]])
 
     def __eq__(self, other):
         if not isinstance(other, RootedTree):
@@ -530,7 +521,14 @@ def random_tree(n: int, seed) -> RootedTree:
                 ptr += 1
             leaf = ptr
     parent[leaf] = n
+    return tree_from_heads(_reroot(parent, root)[1:])
+
+
+def _reroot(parent: list[int], root: int) -> list[int]:
+    """Make ``root`` the root of the tree that the parent list describes,
+    in place, by reversing the path from it up to the old root; returns
+    ``parent``."""
     prev, v = 0, root
     while v:
         parent[v], prev, v = prev, v, parent[v]
-    return tree_from_heads(parent[1:])
+    return parent

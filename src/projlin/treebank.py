@@ -184,7 +184,7 @@ def parse_conllu(
 
 
 def _derived_seed(seed: int, index: int, which: int) -> int:
-    entropy = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, index, which])
+    entropy = np.random.SeedSequence([seed, index, which])
     return int(entropy.generate_state(1, np.uint64)[0])
 
 

@@ -68,6 +68,23 @@ def oracle_is_planar(tree, arrangement):
     return True
 
 
+def oracle_subtree(tree, v):
+    """The subtree at ``v``, relabeled 1..m level by level from a frontier
+    of the vertices found last."""
+    relabel = {v: 1}
+    frontier = [v]
+    links = []
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for c in tree.children[u]:
+                relabel[c] = len(relabel) + 1
+                links.append((relabel[c], relabel[u]))
+                nxt.append(c)
+        frontier = nxt
+    return build_tree(len(relabel), links, 1)
+
+
 def brute_projective_arrangements(tree):
     """All projective arrangements found by filtering the full n! sweep."""
     return [a for a in all_arrangements(tree.n) if oracle_is_projective(tree, a)]

@@ -158,9 +158,12 @@ def test_planar_crossing_detected():
 
 
 def test_planarity_small_sizes_against_oracle():
-    for heads in ("0", "0 1", "0 1 2 3", "0 1 1 2", "0 1 1 1"):
-        t = parse_head_vector(heads)
-        for a in all_arrangements(t.n):
+    # every rooted tree with n <= 6, each with all n! arrangements
+    trees = [parse_head_vector(h) for h in ("0", "0 1", "0 1 2 3", "0 1 1 2", "0 1 1 1")]
+    trees += [t for n in range(1, 7) for t in enumerate_rooted_trees(n)]
+    arrangements = {n: list(all_arrangements(n)) for n in range(1, 7)}
+    for t in trees:
+        for a in arrangements[t.n]:
             assert is_planar(t, a) == oracle_is_planar(t, a)
             if is_projective(t, a):
                 assert is_planar(t, a)

@@ -1,17 +1,23 @@
 """CLI surface: outputs, exit codes, determinism, environment seed."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projlin
-from projlin import arrangement, make_class, random_tree, sample_projective
+import projlin.errors
+from projlin import TREE_CLASSES, arrangement, make_class, random_tree, sample_projective
 from projlin.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, format_rational, main
 from fractions import Fraction
 from helpers import caterpillar, random_tree_corpus
@@ -384,3 +390,172 @@ def test_analyze_unwritable_output_prefix(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "--input", corpus, "--z", "10", "--out-prefix", prefix)
     assert code == EXIT_VALIDATION and out == ""
     assert err.startswith("UnwritableOutput") and "Traceback" not in err
+
+
+# The error contract under fuzzing: argv drawn per subcommand from its own
+# flags and from bad values, and input files of random bytes, a BOM or
+# 5,000-digit integers.  Every number that sets an amount of work is bounded
+# (an --decimal of 10^11 or a --z of 10^26 is a request for too much work,
+# not a contract failure); seeds and --k may be as large as drawn.
+
+_ERROR_NAMES = {
+    name
+    for name, value in vars(projlin.errors).items()
+    if isinstance(value, type) and issubclass(value, projlin.ProjlinError)
+}
+_HUGE = "9" * 5000
+# int() reads the Arabic-Indic and the mathematical digits, so argparse does
+_ODD_VALUES = ["", "-", "--", "x", "é", "١٢", "𝟙", "1e3", "0x10", " 5", "5 ", "½", _HUGE]
+
+
+def _mostly(common, *rare):
+    """``common`` three times in four, else one of ``rare``."""
+    return st.sampled_from([common] * 3 * len(rare) + list(rare)).flatmap(lambda s: s)
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _numbers(low, high):
+    """An int flag's value: within [low, high], odd, or any text int() rejects."""
+    return _mostly(
+        st.integers(low, high).map(str),
+        st.sampled_from(_ODD_VALUES),
+        st.text(max_size=6).filter(_not_an_int),
+    )
+
+
+@st.composite
+def _head_texts(draw):
+    """A head vector of up to 7 entries: a tree, now and then with one
+    entry changed or the entries shuffled."""
+    n = draw(st.integers(1, 7))
+    heads = [0] + [draw(st.integers(1, i)) for i in range(1, n)]
+    if draw(st.booleans()):
+        heads[draw(st.integers(0, n - 1))] = draw(st.integers(-2, n + 2))
+    if draw(st.booleans()):
+        heads = draw(st.permutations(heads))
+    return " ".join(map(str, heads))
+
+
+@st.composite
+def _conllu_texts(draw):
+    """Up to three sentences of ``_head_texts``, now and then with an odd head."""
+    sentences = []
+    for _ in range(draw(st.integers(0, 3))):
+        heads = draw(_head_texts()).split()
+        if draw(st.booleans()):
+            heads[draw(st.integers(0, len(heads) - 1))] = draw(st.sampled_from(_ODD_VALUES))
+        upos = draw(st.sampled_from(["X", "PUNCT"]))
+        rows = [f"{v}\tw{v}\t_\t{upos}\t_\t_\t{h}\t_\t_\t_" for v, h in enumerate(heads, 1)]
+        sentences.append("\n".join(rows) + "\n")
+    return "\n".join(sentences)
+
+
+_FILE_CONTENTS = st.one_of(
+    _head_texts().map(str.encode),
+    _conllu_texts().map(str.encode),
+    _head_texts().map(lambda text: ("\ufeff" + text).encode()),
+    _conllu_texts().map(lambda text: ("\ufeff" + text).encode()),
+    st.binary(max_size=64),
+    st.text(max_size=40).map(str.encode),
+    st.just(f"0 {_HUGE}".encode()),
+    st.just(f"1\tw\t_\tX\t_\t_\t{_HUGE}\t_\t_\t_\n\n".encode()),
+)
+
+# file names, resolved inside the example's own directory, where in.txt
+# holds the drawn content and blocked.sentences.csv is a directory
+_PATHS = _mostly(st.just("in.txt"), st.sampled_from(["missing.txt", ".", "blocked.sentences.csv"]))
+_PREFIXES = st.sampled_from(["out", "missing/out", "in.txt", "blocked"])
+_Z_LISTS = _mostly(
+    st.lists(st.integers(-2, 300).map(str), min_size=1, max_size=4).map(",".join),
+    st.sampled_from(_ODD_VALUES + [",", "10,,20", "10,10"]),
+)
+_SEEDS = _mostly(st.integers(-3, 2**70).map(str), st.sampled_from(_ODD_VALUES))
+_TREES = {
+    "--tree": _mostly(_head_texts(), st.sampled_from(_ODD_VALUES), st.text(max_size=12)),
+    "--tree-file": _PATHS,
+}
+_FLAGS = {
+    "expected": {
+        **_TREES,
+        "--variant": _mostly(st.sampled_from(arrangement.VARIANTS), st.sampled_from(_ODD_VALUES)),
+        "--decimal": _numbers(-3, 2000),
+    },
+    "count": _TREES,
+    "enumerate": {**_TREES, "--cap": _numbers(-3, 10**12)},
+    "sample": {**_TREES, "--z": _numbers(-3, 2000), "--seed": _SEEDS, "--mean": None},
+    "classes": {
+        "--class": _mostly(st.sampled_from(TREE_CLASSES), st.sampled_from(_ODD_VALUES)),
+        "--n": _numbers(-3, 3000),
+        "--k": _SEEDS,
+        "--decimal": _numbers(-3, 2000),
+    },
+    "minima": {"--n": _numbers(-3, 10**6), "--all": None, "--cap": _numbers(-3, 25)},
+    "maxima": {"--n": _numbers(-3, 10**4)},
+    "analyze": {
+        "--input": _PATHS,
+        "--z": _Z_LISTS,
+        "--seed": _SEEDS,
+        "--filter-punct": None,
+        "--jobs": st.just("1"),
+        "--out-prefix": _PREFIXES,
+    },
+    "selfcheck": {"--max-n": _numbers(-1, 6)},
+}
+_REQUIRED = {
+    **dict.fromkeys(("expected", "count", "enumerate", "sample"), [["--tree", "--tree-file"]]),
+    "classes": [["--class"], ["--n"]],
+    "minima": [["--n"]],
+    "maxima": [["--n"]],
+    "analyze": [["--input"]],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, mostly its required flags, then up to five of its
+    flags, repeats allowed, and now and then one stray token."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    names = [draw(st.sampled_from(choice)) for choice in _REQUIRED.get(command, [])]
+    names = [name for name in names if draw(st.integers(0, 9))]
+    names += draw(st.lists(st.sampled_from(sorted(flags)), max_size=5))
+    names = draw(st.permutations(names))
+    argv = [command]
+    for name in names:
+        argv.append(name)
+        if flags[name] is not None:
+            argv.append(draw(flags[name]))
+    if not draw(st.integers(0, 9)):
+        stray = draw(st.sampled_from(["--z", "--bogus", "x", "-h"]))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv(), _FILE_CONTENTS)
+def test_fuzzed_argv_and_files_keep_the_error_contract(argv, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "in.txt"), "wb") as fh:
+            fh.write(content)
+        os.mkdir(os.path.join(tmp, "blocked.sentences.csv"))
+        files = {"--tree-file", "--input", "--out-prefix"}
+        argv = [
+            os.path.join(tmp, arg) if flag in files else arg for flag, arg in zip([""] + argv, argv)
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    stderr = err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_CAP), (argv, stderr)
+    assert "Traceback" not in stderr, argv
+    if code == EXIT_VALIDATION:
+        assert stderr.split(":", 1)[0] in _ERROR_NAMES, (argv, stderr)
+    if code == EXIT_CAP:
+        assert stderr.startswith("CapExceeded:"), (argv, stderr)

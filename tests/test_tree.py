@@ -27,6 +27,7 @@ from projlin import (
 from helpers import (
     all_labeled_rooted_trees,
     oracle_parse_head_vector,
+    oracle_subtree,
     oracle_tree_from_heads,
     tree_from_pruefer,
 )
@@ -181,6 +182,16 @@ def test_subtree_extraction():
     assert canonical_code(sub) == canonical_code(parse_head_vector("0 1 1"))
     whole = t.subtree(4)
     assert canonical_code(whole) == canonical_code(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_subtree_relabels_breadth_first_as_the_frontier_oracle(n, seed):
+    t = random_tree(n, seed)
+    for v in range(1, n + 1):
+        sub = t.subtree(v)
+        want = oracle_subtree(t, v)
+        assert sub == want and sub.head_vector() == want.head_vector()
 
 
 def test_random_tree_negative_seed_is_out_of_range():

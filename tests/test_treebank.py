@@ -335,6 +335,16 @@ def test_analyze_deterministic_and_parallel_identical():
     assert d != a
 
 
+def test_seeds_apart_by_two_to_the_64_give_different_estimates():
+    sentences = conllu(_synthetic_corpus(6, 13))
+    for seed in (0, 1, 601):
+        low, high = (
+            analyze_treebank(sentences, z_values=(10, 100), seed=s) for s in (seed, seed + 2**64)
+        )
+        assert [a.exact for a in low.sentences] == [a.exact for a in high.sentences]
+        assert [a.estimates for a in low.sentences] != [a.estimates for a in high.sentences]
+
+
 def test_analyze_blocks_identical_for_every_jobs_value():
     # three blocks, so two and three processes each take whole blocks
     text = _synthetic_corpus(2 * _BLOCK_SENTENCES + 5, 41)
