@@ -13,6 +13,14 @@ subtree), and choosing an order for every such set of segments yields each
 projective arrangement exactly once.  That bijection drives the counting
 formula (the product of (d_v + 1)! over vertices), the enumeration order,
 and the rejection-free sampler below.
+
+The one draw loop, ``_segment_offsets``, yields each segment's offset
+inside its block, row by row: the sampler turns a row into positions, and
+the Monte Carlo kernel, ``_edge_sums``, needs only the offsets.  Both work
+on a forest of trees laid end to end (``tree._forest``), a ``RootedTree``
+being the one-tree forest: the treebank pipeline draws a block of
+sentences at once, one draw-loop call per (block, z), and a tie in any
+tree redraws the row for every tree of the block.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, OutOfRange, SizeMismatch
-from .tree import RootedTree, _Forest, _generator, _reroot, tree_from_heads
+from .tree import RootedTree, _Forest, _generator, _reroot, _segment_lengths, tree_from_heads
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -246,14 +254,6 @@ def enumerate_projective(
     return (LinearArrangement.from_inverse(sequence) for sequence in walk(tree.root))
 
 
-def _segment_lengths(forest: RootedTree | _Forest) -> np.ndarray:
-    """Every own slot has length 1, every child's segment its subtree size."""
-    return np.concatenate(
-        (np.ones(forest.n, dtype=np.int32), forest.size_array[forest.parent_array != 0]),
-        dtype=np.int32,
-    )
-
-
 def _segment_offsets(
     tree: RootedTree | _Forest, z: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
@@ -366,6 +366,46 @@ def _positions(forest: RootedTree | _Forest, offsets: np.ndarray) -> np.ndarray:
         start += start[jump]
         jump = jump[jump]
     return start[1:].T + offsets[:, :n]
+
+
+def _edge_sums(forest: RootedTree | _Forest, offsets: np.ndarray) -> np.ndarray:
+    """Total edge length of every tree of the forest in every row of offsets.
+
+    The Monte Carlo kernel: ``offsets`` is a chunk from
+    :func:`_segment_offsets` of the forest, and the result a (rows, trees)
+    int64 matrix.  Edge (p, c) has length |seg(c) + own(c) - own(p)|: c's
+    segment offset in block p, c's own offset in block c, p's in block p.
+    The lengths are gathered from the segment-major ``offsets.T``, whole
+    rows at a time, and stay int32; a tree's edges are one contiguous range
+    of them, summed in int64 by ``np.add.reduceat``.  A one-vertex tree has
+    none and sums to 0.
+    """
+    n = forest.n
+    parent = forest.parent_array
+    kids = np.flatnonzero(parent)
+    sums = np.zeros((len(offsets), forest.starts.size), dtype=np.int64)
+    if kids.size:
+        columns = offsets.T
+        lengths = columns[n:] + columns[kids - 1]
+        lengths -= columns[parent[kids] - 1]
+        np.abs(lengths, out=lengths)
+        has_edges = np.diff(forest.starts, append=n) > 1
+        first_edge = forest.starts - np.arange(forest.starts.size)
+        sums[:, has_edges] = np.add.reduceat(lengths, first_edge[has_edges], axis=0, dtype=np.int64).T
+    return sums
+
+
+def _forest_totals(forest: RootedTree | _Forest, z: int, rng: np.random.Generator) -> list[int]:
+    """Every tree's edge-length sum over z draws of the whole forest.
+
+    The chunks' int64 column sums are added up as Python ints, so the
+    totals are exact however large z grows.
+    """
+    totals = [0] * forest.starts.size
+    for offsets in _segment_offsets(forest, z, rng):
+        chunk = _edge_sums(forest, offsets).sum(axis=0).tolist()
+        totals = [total + s for total, s in zip(totals, chunk)]
+    return totals
 
 
 def sample_projective(tree: RootedTree, seed) -> LinearArrangement:

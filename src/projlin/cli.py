@@ -69,16 +69,18 @@ def _open_input(path: str):
     """Open an input file as UTF-8 text, skipping a byte-order mark."""
     try:
         return open(path, encoding="utf-8-sig")
-    except OSError as exc:
-        raise UnreadableInput(f"cannot open {path}: {exc.strerror or exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise UnreadableInput(f"cannot open {path}: {reason}") from None
 
 
 def _open_output(path: str):
     """Open an output file for writing as UTF-8 text."""
     try:
         return open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise UnwritableOutput(f"cannot write {path}: {reason}") from None
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> UnreadableInput:

@@ -23,13 +23,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Sequence
-
-import numpy as np
+from typing import Callable, Dict, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, OutOfRange
 from .expectation import expected_sum_unconstrained
-from .tree import RootedTree, make_class
+from .tree import RootedTree, _attach_root, make_class
 
 DEFAULT_MIN_CAP = 20
 DEFAULT_TREE_ENUM_CAP = 10
@@ -76,27 +74,6 @@ def _partitions(
         if fits is None or fits(first, total - first):
             for rest in _partitions(total - first, first, fits):
                 yield (first,) + rest
-
-
-def _attach_root(subtrees: Sequence[RootedTree]) -> RootedTree:
-    """A new root 1 above the given subtrees, in order; a subtree's vertex
-    v becomes v plus the count of vertices before that subtree.  Children
-    lists come out ascending.
-
-    The result is a tree by construction and the subtrees' sizes and
-    out-degrees carry over, so it is assembled from their arrays without
-    the validating core; its views are built on first use.
-    """
-    parent = [0, 0]
-    for sub in subtrees:
-        offset = len(parent) - 1
-        parent.extend(p + offset if p else 1 for p in sub.parent[1:])
-    n = len(parent) - 1
-    size = np.concatenate([[0, n], *(sub.size_array[1:] for sub in subtrees)], dtype=np.int64)
-    out_degree = np.concatenate(
-        [[0, len(subtrees)], *(sub.out_degree_array[1:] for sub in subtrees)], dtype=np.int64
-    )
-    return RootedTree(n, 1, np.array(parent, dtype=np.int64), size, out_degree)
 
 
 def combine_forests(
@@ -170,12 +147,15 @@ def _solve_min(m: int, memo: MemoTable) -> OptimumEntry:
     def fits(s: int, rest: int) -> bool:
         return part6[s] + best6[rest] == best6[s + rest]
 
-    trees = [
-        tree
-        for part in sorted(_partitions(m - 1, m - 1, fits), key=len)
-        for tree in combine_forests(part, [memo[s].trees for s in part])
-    ]
+    trees = _sweep(m, {s: entry.trees for s, entry in memo.items()}, fits)
     return OptimumEntry(m, Fraction(m - 1 + best6[m - 1], 6), tuple(trees))
+
+
+def _sweep(m: int, by_size: Mapping[int, Sequence[RootedTree]], fits=None) -> list[RootedTree]:
+    """The trees on m vertices with root children from ``by_size`` whose
+    sizes partition m - 1 as ``fits`` allows, fewest root children first."""
+    parts = sorted(_partitions(m - 1, m - 1, fits), key=len)
+    return [tree for part in parts for tree in combine_forests(part, [by_size[s] for s in part])]
 
 
 def enumerate_rooted_trees(n: int, cap: int = DEFAULT_TREE_ENUM_CAP) -> Iterator[RootedTree]:
@@ -204,9 +184,5 @@ def _rooted_trees(n: int) -> Iterator[RootedTree]:
     at the call rather than at the first ``next()``."""
     by_size: dict[int, list[RootedTree]] = {}
     for m in range(1, n + 1):
-        by_size[m] = [
-            tree
-            for part in sorted(_partitions(m - 1, m - 1), key=len)
-            for tree in combine_forests(part, [by_size[s] for s in part])
-        ]
+        by_size[m] = _sweep(m, by_size)
     yield from by_size[n]

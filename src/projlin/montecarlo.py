@@ -1,18 +1,10 @@
 """Monte Carlo estimation of the projective expectation, with error stats.
 
 The estimator averages the total edge length over z independent uniform
-projective arrangements from the one draw loop,
-:func:`projlin.arrangement._segment_offsets`, that also feeds
-:func:`projlin.arrangement.sample_projective` and ``projlin sample``: the
+projective arrangements from the one draw loop of ``projlin.arrangement``,
+which also feeds ``sample_projective`` and ``projlin sample``: the
 estimate from a seed is exactly the mean edge-length sum of z successive
-``sample_projective`` draws from ``numpy.random.default_rng(seed)``.  It
-needs no positions, only each segment's offset inside its block.
-
-There is one kernel, :func:`_edge_sums`, over a forest of trees laid end
-to end (``tree._forest``): a ``RootedTree`` is the one-tree forest, and
-the treebank pipeline draws a block of sentences at once, one draw-loop
-call per (block, z).  A draw of a forest is one row of keys over all its
-trees, so a tie in any tree redraws the row for every tree of the block.
+``sample_projective`` draws from ``numpy.random.default_rng(seed)``.
 
 Relative errors of estimates against exact values are aggregated per tree
 size with percentile-bootstrap confidence intervals, matching the usual
@@ -27,9 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .arrangement import _segment_offsets
+from .arrangement import _forest_totals
 from .errors import OutOfRange, ZeroExact
-from .tree import RootedTree, _check_seed, _Forest, _generator
+from .tree import RootedTree, _check_seed, _generator
 
 # Keep each block of bootstrap indices around 8 MB regardless of group size.
 _BOOTSTRAP_CELLS = 1_000_000
@@ -60,46 +52,6 @@ class ErrorStats:
     ci_high: float
 
 
-def _edge_sums(forest: RootedTree | _Forest, offsets: np.ndarray) -> np.ndarray:
-    """Total edge length of every tree of the forest in every row of offsets.
-
-    The Monte Carlo kernel: ``offsets`` is a chunk from
-    :func:`projlin.arrangement._segment_offsets` of the forest, and the
-    result a (rows, trees) int64 matrix.  Edge (p, c) has length
-    |seg(c) + own(c) - own(p)|: c's segment offset in block p, c's own
-    offset in block c, p's in block p.  The lengths are gathered from the
-    segment-major ``offsets.T``, whole rows at a time, and stay int32; a
-    tree's edges are one contiguous range of them, summed in int64 by
-    ``np.add.reduceat``.  A one-vertex tree has none and sums to 0.
-    """
-    n = forest.n
-    parent = forest.parent_array
-    kids = np.flatnonzero(parent)
-    sums = np.zeros((len(offsets), forest.starts.size), dtype=np.int64)
-    if kids.size:
-        columns = offsets.T
-        lengths = columns[n:] + columns[kids - 1]
-        lengths -= columns[parent[kids] - 1]
-        np.abs(lengths, out=lengths)
-        has_edges = np.diff(forest.starts, append=n) > 1
-        first_edge = forest.starts - np.arange(forest.starts.size)
-        sums[:, has_edges] = np.add.reduceat(lengths, first_edge[has_edges], axis=0, dtype=np.int64).T
-    return sums
-
-
-def _forest_totals(forest: RootedTree | _Forest, z: int, rng: np.random.Generator) -> list[int]:
-    """Every tree's edge-length sum over z draws of the whole forest.
-
-    The chunks' int64 column sums are added up as Python ints, so the
-    totals are exact however large z grows.
-    """
-    totals = [0] * forest.starts.size
-    for offsets in _segment_offsets(forest, z, rng):
-        chunk = _edge_sums(forest, offsets).sum(axis=0).tolist()
-        totals = [total + s for total, s in zip(totals, chunk)]
-    return totals
-
-
 def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     """Mean total edge length over z uniform projective samples.
 
@@ -109,9 +61,9 @@ def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     compare their segments' keys pairwise, plus O(k log k) to sort each
     larger block of k segments; the rare sample with two equal keys in one
     block is redrawn.  The tree is the one-tree forest of
-    :func:`_forest_totals`: samples arrive in chunks of bounded memory,
-    and their sums are integers, so the accumulation is exact and only the
-    final division produces a float.
+    :func:`projlin.arrangement._forest_totals`: samples arrive in chunks of
+    bounded memory, and their sums are integers, so the accumulation is
+    exact and only the final division produces a float.
     """
     if z < 1:
         raise OutOfRange(f"z must be positive, got {z}")

@@ -5,20 +5,23 @@ built: the parent of every vertex, the size of every subtree and every
 out-degree.  The parent array is the only form a tree takes: the tuple
 views that Python loops read (parents, ascending children lists,
 breadth-first order) and the block plan the projective sampler reads are
-built from the arrays on first use and cached.  Vertex ids and
-arrangement positions share the same 1-based range, so head vectors and
-CoNLL-U token ids line up without translation.
+built from the arrays on first use and cached.  The block layout lives
+here: ``_block_plan`` names the segments of every block and
+``_segment_lengths`` gives their lengths.  Vertex ids and arrangement
+positions share the same 1-based range, so head vectors and CoNLL-U token
+ids line up without translation.
 
 Every constructor ends in one core that validates a parent array and
 computes the subtree sizes by numpy pointer doubling: about log2(height)
 rounds, each one ``bincount`` and one gather over the whole array, and no
 loop over vertices or levels, so a path costs no more than a bushy tree
 of the same size, and a tree of any size takes the same path.  The
-minimizing trees of ``extrema`` skip the core: they are assembled from
-subtrees already built, and are trees by construction.  A head-vector
-text of ASCII digits and whitespace is read by one ``np.fromstring``
-call; any other text goes through ``str.split``, which names what is
-wrong with it.
+root-above constructor ``_attach_root``, which builds the minimizing
+trees of ``extrema``, skips the core: it lays subtrees already built end
+to end below a new root, as ``_forest`` lays out a forest, so the result
+is a tree by construction.  A head-vector text of ASCII digits and
+whitespace is read by one ``np.fromstring`` call; any other text goes
+through ``str.split``, which names what is wrong with it.
 
 The module also provides the named tree classes used by the closed-form
 tables (stars, quasi-stars, linear trees), AHU-style canonical codes for
@@ -61,7 +64,7 @@ class RootedTree:
     Instances are produced by :func:`build_tree` and :func:`tree_from_heads`
     (or the constructors built on them), which validate single headedness,
     connectedness and acyclicity, or are assembled from such trees by
-    ``extrema._attach_root``.  Only the three arrays are stored;
+    :func:`_attach_root`.  Only the three arrays are stored;
     ``parent``, ``children``, ``order`` and ``blocks`` are built from them
     on first use and cached.  The arrays are read-only and the views are
     tuples, so the object is safe to share between threads.
@@ -193,17 +196,37 @@ class _Forest(NamedTuple):
     blocks: tuple[np.ndarray, ...]
 
 
-def _forest(trees: Sequence[RootedTree]) -> _Forest:
-    """Lay the trees end to end, in order."""
+def _end_to_end(trees: Sequence[RootedTree], top: int):
+    """Lay the trees end to end after vertex ``top`` (0 or 1): tree i's
+    vertex v becomes ``starts[i] + v``, its parent is shifted alike, its
+    root gets parent ``top``.  Returns n, the parent, size and out-degree
+    arrays (slots 0..top hold 0, for the caller to fill) and ``starts``."""
     counts = np.array([tree.n for tree in trees], dtype=np.int64)
-    starts = np.cumsum(counts) - counts
+    starts = np.cumsum(counts) - counts + top
     parent, size, out_degree = (
-        np.concatenate([[0]] + [getattr(tree, name)[1:] for tree in trees])
+        np.concatenate([np.zeros(top + 1, np.int64), *(getattr(tree, name)[1:] for tree in trees)])
         for name in ("parent_array", "size_array", "out_degree_array")
     )
-    parent[1:] += np.repeat(starts, counts) * (parent[1:] != 0)
-    n = int(counts.sum())
+    parent[top + 1 :] += np.where(parent[top + 1 :] != 0, np.repeat(starts, counts), top)
+    return parent.size - 1, parent, size, out_degree, starts
+
+
+def _forest(trees: Sequence[RootedTree]) -> _Forest:
+    """Lay the trees end to end, in order."""
+    n, parent, size, out_degree, starts = _end_to_end(trees, 0)
     return _Forest(n, parent, size, out_degree, starts, _block_plan(n, parent, out_degree))
+
+
+def _attach_root(subtrees: Sequence[RootedTree]) -> RootedTree:
+    """A new root 1 above the given subtrees, in order; a subtree's vertex
+    v becomes v plus the count of vertices before that subtree.  Children
+    lists come out ascending.  The result is a tree by construction and the
+    subtrees' sizes and out-degrees carry over, so it is assembled from
+    their arrays without the validating core; its views come on first use.
+    """
+    n, parent, size, out_degree, _ = _end_to_end(subtrees, 1)
+    size[1], out_degree[1] = n, len(subtrees)
+    return RootedTree(n, 1, parent, size, out_degree)
 
 
 def _bfs_order(root: int, children) -> tuple[int, ...]:
@@ -253,6 +276,12 @@ def _block_plan(n: int, parent: np.ndarray, out_degree: np.ndarray):
         segments.flags.writeable = False
         plan.append(segments)
     return tuple(plan)
+
+
+def _segment_lengths(forest: RootedTree | _Forest) -> np.ndarray:
+    """Every own slot has length 1, every child's segment its subtree size."""
+    own = np.ones(forest.n, dtype=np.int32)
+    return np.concatenate((own, forest.size_array[forest.parent_array != 0]), dtype=np.int32)
 
 
 def _doubling_kernel(n: int, parent: np.ndarray):

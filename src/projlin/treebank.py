@@ -34,10 +34,10 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._digits import exact_str
-from .arrangement import _identity_projective, count_projective
+from .arrangement import _forest_totals, _identity_projective, count_projective
 from .errors import OutOfRange, ProjlinError
 from .expectation import _closed_numerators
-from .montecarlo import ErrorStats, _forest_totals, aggregate_errors, relative_error
+from .montecarlo import ErrorStats, aggregate_errors, relative_error
 from .tree import RootedTree, _check_seed, _forest, tree_from_heads
 
 # Sentences drawn together as one forest.  On the benchmark's 200-sentence

@@ -15,6 +15,7 @@ from projlin import (
     build_tree,
     combine_forests,
     count_projective,
+    edge_length_probability,
     enumerate_projective,
     enumerate_rooted_trees,
     expected_sum_projective,
@@ -69,6 +70,10 @@ def test_arrangement_validation():
         lambda: enumerate_projective(CHAIN3, cap=-1),
         lambda: enumerate_rooted_trees(3, cap=-1),
         lambda: min_expected_sum(3, cap=-1),
+        lambda: CHAIN3.subtree(0),
+        lambda: CHAIN3.subtree(4),
+        lambda: edge_length_probability(1, 1),
+        lambda: enumerate_rooted_trees(0),
     ],
     ids=[
         "positions",
@@ -82,6 +87,10 @@ def test_arrangement_validation():
         "enumerate_negative_cap",
         "rooted_trees_negative_cap",
         "minima_negative_cap",
+        "subtree_vertex_zero",
+        "subtree_vertex_past_n",
+        "edge_length_one_vertex",
+        "rooted_trees_no_vertex",
     ],
 )
 def test_bad_arguments_raise_out_of_range(call):

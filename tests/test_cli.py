@@ -81,6 +81,18 @@ def test_enumerate_output(capsys):
     assert sorted(out.splitlines()) == ["1 2", "2 1"]
 
 
+def test_enumerate_order_is_pinned(capsys):
+    # blocks vary depth first: vertex 3's block fastest, then 4's, then 2's
+    # and the root's; breadth first would vary 4's block before 3's
+    code, out, _ = run(capsys, "enumerate", "--tree", "0 1 1 2 3 4")
+    lines = out.splitlines()
+    assert code == EXIT_OK and len(lines) == 48
+    assert lines[:2] == ["1 2 4 6 3 5", "1 2 4 6 5 3"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "499a5b387cc365fe20b4c0a667944e9a77b74ee3e2f447433663b5f426e2a2e5"
+    )
+
+
 def test_classes_row(capsys):
     code, out, _ = run(capsys, "classes", "--class", "star_leaf", "--n", "6")
     assert code == EXIT_OK and out == "240 11\n"
@@ -160,6 +172,20 @@ def test_outputs_of_the_draw_loop_are_pinned(tmp_path, capsys):
         "sample_mean": hashlib.sha256(mean.encode()).hexdigest(),
     }
     assert digests == PINNED_STREAMS
+
+
+def test_nul_bytes_in_paths_are_validation_errors(tmp_path, capsys):
+    # open() raises ValueError, not OSError, for a path holding a NUL byte
+    corpus = write_corpus(tmp_path / "one.conllu", [["0"]])
+    cases = [
+        (["count", "--tree-file", "a\x00b"], "UnreadableInput"),
+        (["analyze", "--input", "a\x00b"], "UnreadableInput"),
+        (["analyze", "--input", str(corpus), "--out-prefix", str(tmp_path / "o\x00x")], "UnwritableOutput"),
+    ]
+    for argv, error in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION and out == "", argv
+        assert err.startswith(f"{error}: ") and "Traceback" not in err, argv
 
 
 def test_sample_mean(capsys):
@@ -469,9 +495,12 @@ _FILE_CONTENTS = st.one_of(
 )
 
 # file names, resolved inside the example's own directory, where in.txt
-# holds the drawn content and blocked.sentences.csv is a directory
-_PATHS = _mostly(st.just("in.txt"), st.sampled_from(["missing.txt", ".", "blocked.sentences.csv"]))
-_PREFIXES = st.sampled_from(["out", "missing/out", "in.txt", "blocked"])
+# holds the drawn content and blocked.sentences.csv is a directory; open()
+# rejects a name holding a NUL byte with a ValueError
+_PATHS = _mostly(
+    st.just("in.txt"), st.sampled_from(["missing.txt", ".", "blocked.sentences.csv", "in\x00.txt"])
+)
+_PREFIXES = st.sampled_from(["out", "missing/out", "in.txt", "blocked", "o\x00ut"])
 _Z_LISTS = _mostly(
     st.lists(st.integers(-2, 300).map(str), min_size=1, max_size=4).map(",".join),
     st.sampled_from(_ODD_VALUES + [",", "10,,20", "10,10"]),

@@ -149,7 +149,7 @@ def test_forest_kernel_sums_each_tree_row_for_row(trees, z, seed, bits):
     # alone; 10-bit keys tie in about a third of the rows of a large forest
     forest = _forest(trees)
     offsets = np.concatenate(list(arrangement._segment_offsets(forest, z, NarrowKeys(seed, bits))))
-    sums = montecarlo._edge_sums(forest, offsets)
+    sums = arrangement._edge_sums(forest, offsets)
     assert sums.shape == (z, len(trees)) and sums.dtype == np.int64
     for i, (tree, start) in enumerate(zip(trees, forest.starts.tolist())):
         own = offsets[:, start : start + tree.n]
@@ -164,8 +164,8 @@ def test_forest_totals_are_the_column_sums_of_the_kernel():
     trees = [random_tree(n, n) for n in (1, 7, 1, 30, 2, 12)]
     forest = _forest(trees)
     chunks = arrangement._segment_offsets(forest, 500, NarrowKeys(8, 10))
-    want = sum(montecarlo._edge_sums(forest, offsets).sum(axis=0) for offsets in chunks)
-    assert montecarlo._forest_totals(forest, 500, NarrowKeys(8, 10)) == want.tolist()
+    want = sum(arrangement._edge_sums(forest, offsets).sum(axis=0) for offsets in chunks)
+    assert arrangement._forest_totals(forest, 500, NarrowKeys(8, 10)) == want.tolist()
 
 
 def test_estimate_converges_on_random_trees():

@@ -61,6 +61,10 @@ def test_validation_errors_by_name():
         build_tree(4, [(2, 1), (3, 4), (4, 3)], 1)
     with pytest.raises(CycleDetected):
         build_tree(2, [(1, 1), (2, 1)], 1)
+    # root 1 hangs below the 2-cycle 2 <-> 3: no vertex lacks a parent, and
+    # the walk up from the root never comes back to it
+    with pytest.raises(CycleDetected):
+        build_tree(3, [(1, 2), (2, 3), (3, 2)], 1)
     with pytest.raises(BadRoot):
         build_tree(3, [(2, 1), (3, 1)], 4)
     with pytest.raises(OutOfRange):
@@ -198,6 +202,17 @@ def test_random_tree_negative_seed_is_out_of_range():
     for n in (1, 2, 40):
         with pytest.raises(OutOfRange):
             random_tree(n, -2)
+
+
+def test_random_tree_needs_a_vertex():
+    with pytest.raises(UnsupportedSize):
+        random_tree(0, 1)
+
+
+def test_equal_trees_hash_equal():
+    a, b = parse_head_vector("0 1 1 2"), tree_from_heads([0, 1, 1, 2])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, parse_head_vector("0 1 2 2")}) == 2
 
 
 def test_random_tree_determinism_and_validity():
