@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -59,7 +60,7 @@ class LinearArrangement:
     __slots__ = ("pos", "inverse")
 
     def __init__(self, positions: Sequence[int]):
-        self.pos = (0,) + tuple(int(p) for p in positions)
+        self.pos = _ids(positions, "positions")
         self.inverse = _invert(self.pos, "positions are not a bijection onto")
 
     @classmethod
@@ -81,7 +82,7 @@ class LinearArrangement:
     def from_inverse(cls, vertices_by_position: Sequence[int]) -> "LinearArrangement":
         """Build from the sequence of vertex ids read left to right."""
         arrangement = cls.__new__(cls)
-        arrangement.inverse = (0, *map(int, vertices_by_position))
+        arrangement.inverse = _ids(vertices_by_position, "vertex ids")
         arrangement.pos = _invert(arrangement.inverse, "vertex sequence is not a permutation of")
         return arrangement
 
@@ -99,6 +100,15 @@ class LinearArrangement:
 
     def __repr__(self):
         return f"LinearArrangement({' '.join(str(v) for v in self.inverse[1:])!r})"
+
+
+def _ids(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``(0, *values)``, each value taken through ``operator.index``, so that
+    numpy integers pass and a float or a string raises OutOfRange."""
+    try:
+        return (0, *map(operator.index, values))
+    except TypeError:
+        raise OutOfRange(f"{what} must be integers") from None
 
 
 def _invert(bijection: tuple, what: str) -> tuple[int, ...]:
@@ -214,12 +224,16 @@ def enumerate_projective(
 ) -> Iterator[LinearArrangement]:
     """Yield every projective arrangement of the tree exactly once.
 
-    The stream is deterministic: for each vertex the orders of its
-    segments are visited lexicographically, with the root's permutation
-    varying slowest.  Raises CapExceeded when the total count is above
-    ``cap`` (the count grows factorially with the degrees), and OutOfRange
-    for a negative ``cap``, both at the call rather than at the first
-    ``next()``.
+    An odometer over block orders: each vertex with children (a block
+    owner) has one digit, the order of its block, and the digits run
+    through the owners depth first over ascending children, the root's
+    slowest and the last owner's fastest.  Each digit visits its block's
+    orders lexicographically, with the vertex's own slot first, so the
+    first arrangement lays out the tree depth first.  A vertex order is
+    read off the block orders in one stack pass.  Raises CapExceeded when
+    the total count is above ``cap`` (the count grows factorially with the
+    degrees), and OutOfRange for a negative ``cap``, both at the call
+    rather than at the first ``next()``.
     """
     if cap < 0:
         raise OutOfRange(f"cap must be non-negative, got {cap}")
@@ -227,31 +241,32 @@ def enumerate_projective(
     if total > cap:
         raise CapExceeded(f"{total} projective arrangements exceed the cap of {cap}")
     children = tree.children
+    owners, pending = [], [tree.root]  # the vertices with children, depth first
+    while pending:
+        v = pending.pop()
+        if children[v]:
+            owners.append(v)
+            pending.extend(reversed(children[v]))
+    block_order: dict[int, tuple[int, ...]] = {}
 
-    def combos(kids: tuple[int, ...], i: int) -> Iterator[tuple]:
-        if i == len(kids):
-            yield ()
+    def odometer(i: int) -> Iterator[LinearArrangement]:
+        if i < len(owners):
+            v = owners[i]
+            for block_order[v] in itertools.permutations((v,) + children[v]):
+                yield from odometer(i + 1)
             return
-        for head in walk(kids[i]):
-            for rest in combos(kids, i + 1):
-                yield (head,) + rest
+        # an owner's subtree opens into its block, where its own slot is
+        # pushed negated; a leaf or a negated slot is laid down
+        sequence, stack = [], [tree.root]
+        while stack:
+            v = stack.pop()
+            if v in block_order:
+                stack.extend(-u if u == v else u for u in reversed(block_order[v]))
+            else:
+                sequence.append(abs(v))
+        yield LinearArrangement.from_inverse(sequence)
 
-    def walk(v: int) -> Iterator[tuple[int, ...]]:
-        kids = children[v]
-        if not kids:
-            yield (v,)
-            return
-        for perm in itertools.permutations(range(len(kids) + 1)):
-            for chosen in combos(kids, 0):
-                seq: list[int] = []
-                for slot in perm:
-                    if slot == 0:
-                        seq.append(v)
-                    else:
-                        seq.extend(chosen[slot - 1])
-                yield tuple(seq)
-
-    return (LinearArrangement.from_inverse(sequence) for sequence in walk(tree.root))
+    return odometer(0)
 
 
 def _segment_offsets(

@@ -84,32 +84,33 @@ def combine_forests(
     ``per_size_trees[i]`` lists the candidate trees for the part
     ``part_sizes[i]``; equal part sizes must carry the same candidate list
     (the plain Cartesian product would then repeat isomorphic forests, so
-    equal-size parts are restricted to non-decreasing index selections).
-    Provided each candidate list is itself duplicate-free, no two yielded
-    trees are isomorphic.
+    a run of k equal sizes takes the multisets of k candidates, by
+    ``combinations_with_replacement``).  The runs go by decreasing size,
+    and the forests are their product.  Provided each candidate list is
+    itself duplicate-free, no two yielded trees are isomorphic.
     """
     if len(part_sizes) != len(per_size_trees):
         raise OutOfRange("part_sizes and per_size_trees must have equal length")
     paired = sorted(zip(part_sizes, per_size_trees), key=lambda it: -it[0])
-    # merge runs of equal sizes into (size, candidates, multiplicity) groups
-    groups: list[tuple[int, list[RootedTree], int]] = []
-    for size, trees in paired:
-        trees = list(trees)
-        if not trees:
+    runs = []  # a run of equal sizes takes its first candidate list
+    for size, run in itertools.groupby(paired, key=lambda it: it[0]):
+        candidates = [list(trees) for _, trees in run]
+        if not all(candidates):
             raise OutOfRange(f"no candidate trees for part of size {size}")
-        if groups and groups[-1][0] == size:
-            groups[-1] = (size, groups[-1][1], groups[-1][2] + 1)
-        else:
-            groups.append((size, trees, 1))
-    selectors = [
-        itertools.combinations_with_replacement(range(len(candidates)), mult)
-        for _, candidates, mult in groups
-    ]
-    for choice in itertools.product(*selectors):
-        forest: list[RootedTree] = []
-        for (_, candidates, _), indices in zip(groups, choice):
-            forest.extend(candidates[j] for j in indices)
-        yield _attach_root(forest)
+        runs.append(itertools.combinations_with_replacement(candidates[0], len(candidates)))
+    for choice in itertools.product(*runs):
+        yield _attach_root([tree for trees in choice for tree in trees])
+
+
+def _check_size(n: int, cap: int) -> None:
+    """OutOfRange for n < 1 or a negative ``cap``, CapExceeded for n above
+    ``cap``."""
+    if n < 1:
+        raise OutOfRange(f"n must be positive, got {n}")
+    if cap < 0:
+        raise OutOfRange(f"cap must be non-negative, got {cap}")
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds the cap of {cap}; raise cap= to override")
 
 
 def min_expected_sum(n: int, memo: MemoTable | None = None, cap: int = DEFAULT_MIN_CAP) -> OptimumEntry:
@@ -122,12 +123,7 @@ def min_expected_sum(n: int, memo: MemoTable | None = None, cap: int = DEFAULT_M
     is built as a tree and their number grows fast (2,653 at n = 120).
     A negative ``cap`` raises OutOfRange.
     """
-    if n < 1:
-        raise OutOfRange(f"n must be positive, got {n}")
-    if cap < 0:
-        raise OutOfRange(f"cap must be non-negative, got {cap}")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the cap of {cap}; raise cap= to override")
+    _check_size(n, cap)
     if memo is None:
         memo = {}
     for m in range(1, n + 1):
@@ -170,12 +166,7 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_TREE_ENUM_CAP) -> Iterator
     OutOfRange and n above ``cap`` CapExceeded, at the call rather than at
     the first ``next()``.
     """
-    if n < 1:
-        raise OutOfRange(f"n must be positive, got {n}")
-    if cap < 0:
-        raise OutOfRange(f"cap must be non-negative, got {cap}")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the cap of {cap}; raise cap= to override")
+    _check_size(n, cap)
     return _rooted_trees(n)
 
 

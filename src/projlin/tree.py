@@ -30,6 +30,8 @@ unlabeled-isomorphism tests, and uniform random labeled trees.
 
 from __future__ import annotations
 
+import operator
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -86,18 +88,6 @@ class RootedTree:
             one-tree :class:`_Forest`, with every field the kernels read.
     """
 
-    __slots__ = (
-        "n",
-        "root",
-        "parent_array",
-        "size_array",
-        "out_degree_array",
-        "_parent",
-        "_children",
-        "_order",
-        "_blocks",
-    )
-
     starts = np.zeros(1, dtype=np.int64)
     starts.flags.writeable = False
 
@@ -109,41 +99,29 @@ class RootedTree:
         self.parent_array = parent_array
         self.size_array = size_array
         self.out_degree_array = out_degree_array
-        self._parent = None
-        self._children = None
-        self._order = None
-        self._blocks = None
 
-    @property
+    @cached_property
     def parent(self) -> tuple[int, ...]:
-        if self._parent is None:
-            self._parent = tuple(self.parent_array.tolist())
-        return self._parent
+        return tuple(self.parent_array.tolist())
 
-    @property
+    @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        if self._children is None:
-            kids = np.flatnonzero(self.parent_array)
-            kids = kids[np.argsort(self.parent_array[kids], kind="stable")].tolist()
-            children = []
-            start = 0
-            for d in self.out_degree_array.tolist():
-                children.append(tuple(kids[start : start + d]))
-                start += d
-            self._children = tuple(children)
-        return self._children
+        kids = np.flatnonzero(self.parent_array)
+        kids = kids[np.argsort(self.parent_array[kids], kind="stable")].tolist()
+        children = []
+        start = 0
+        for d in self.out_degree_array.tolist():
+            children.append(tuple(kids[start : start + d]))
+            start += d
+        return tuple(children)
 
-    @property
+    @cached_property
     def order(self) -> tuple[int, ...]:
-        if self._order is None:
-            self._order = _bfs_order(self.root, self.children)
-        return self._order
+        return _bfs_order(self.root, self.children)
 
-    @property
+    @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
-        if self._blocks is None:
-            self._blocks = _block_plan(self.n, self.parent_array, self.out_degree_array)
-        return self._blocks
+        return _block_plan(self.n, self.parent_array, self.out_degree_array)
 
     def head_vector(self) -> str:
         """Serialize as whitespace-separated parent ids, 0 for the root."""
@@ -358,7 +336,11 @@ def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTre
     if not 1 <= root <= n:
         raise BadRoot(f"root {root} not in 1..{n}")
     parent = [0] * (n + 1)
-    for child, par in links:
+    for link in links:
+        try:
+            child, par = map(operator.index, link)
+        except (TypeError, ValueError):
+            raise OutOfRange(f"link {link!r} is not a pair of integer vertex ids") from None
         if not (1 <= child <= n and 1 <= par <= n):
             raise OutOfRange(f"link ({child}, {par}) not within 1..{n}")
         if child == par:

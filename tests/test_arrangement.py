@@ -1,5 +1,6 @@
 """Edge-length sums, projectivity, planarity, counting, enumeration, sampling."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -74,6 +75,10 @@ def test_arrangement_validation():
         lambda: CHAIN3.subtree(4),
         lambda: edge_length_probability(1, 1),
         lambda: enumerate_rooted_trees(0),
+        lambda: build_tree(2, [(2.0, 1)], 1),
+        lambda: build_tree(2, [(2, 1, 1)], 1),
+        lambda: LinearArrangement([2.7, 1.2]),
+        lambda: LinearArrangement.from_inverse(["2", 1.9]),
     ],
     ids=[
         "positions",
@@ -91,11 +96,23 @@ def test_arrangement_validation():
         "subtree_vertex_past_n",
         "edge_length_one_vertex",
         "rooted_trees_no_vertex",
+        "float_vertex_id",
+        "link_of_three_ids",
+        "float_positions",
+        "non_integer_vertex_ids",
     ],
 )
 def test_bad_arguments_raise_out_of_range(call):
     with pytest.raises(OutOfRange):
         call()
+
+
+def test_numpy_integer_ids_are_accepted():
+    ids = np.array([2, 1, 3])
+    assert LinearArrangement(ids).pos[1:] == (2, 1, 3)
+    assert LinearArrangement.from_inverse(ids).inverse[1:] == (2, 1, 3)
+    assert all(type(p) is int for p in LinearArrangement(ids).pos)
+    assert build_tree(3, [(np.int64(2), 1), (3, np.int32(2))], 1) == CHAIN3
 
 
 def test_sum_edge_lengths_examples():
@@ -259,6 +276,18 @@ def test_enumerate_deterministic_order():
     second = [a.inverse[1:] for a in enumerate_projective(t)]
     assert first == second
     assert first[0] == (1, 2, 3)  # identity-like order comes first
+
+
+def test_enumerate_orders_are_pinned():
+    # every vertex order, one line each, for the 85 rooted trees with
+    # n <= 7 (in enumerate_rooted_trees order) and the 8-vertex hub star
+    trees = [t for n in range(1, 8) for t in enumerate_rooted_trees(n)]
+    trees.append(make_class("star_hub", 8))
+    digest = hashlib.sha256()
+    for t in trees:
+        for a in enumerate_projective(t):
+            digest.update(" ".join(map(str, a.inverse[1:])).encode() + b"\n")
+    assert digest.hexdigest() == "8030d14dffdd94af94bf3e87b88c0321d90f93a66ab38d7053b6c9f84a288ef4"
 
 
 def test_reversal_symmetry():

@@ -1,5 +1,6 @@
 """Maximum characterization and the minimum-search dynamic program."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -223,3 +224,21 @@ def test_minimizers_match_the_trees_of_their_head_vectors():
             assert t.order == want.order
             assert t.size_array.tolist() == want.size_array.tolist()
             assert t.out_degree_array.tolist() == want.out_degree_array.tolist()
+
+
+def test_rooted_trees_and_minimizers_are_pinned():
+    # the head vectors, labels and order included, of every tree that
+    # enumerate_rooted_trees(n) yields for n <= 10, and of every minimizer
+    # in the table of min_expected_sum(60), size by size
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        for t in enumerate_rooted_trees(n):
+            digest.update(t.head_vector().encode() + b"\n")
+    assert digest.hexdigest() == "aed241ca0051212cc0cdb0a092295b48a7887b7593d43f10d86c46437b895af4"
+    memo = {}
+    min_expected_sum(60, memo, cap=60)
+    digest = hashlib.sha256()
+    for m in range(1, 61):
+        for t in memo[m].trees:
+            digest.update(t.head_vector().encode() + b"\n")
+    assert digest.hexdigest() == "2e691ca87dbec90c51e37ead0a2fa81e162deac155a3b5602c3d6b4531fcc6a0"
