@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, OutOfRange, SizeMismatch
+from .errors import CapExceeded, OutOfRange, SizeMismatch, _integer
 from .tree import RootedTree, _Forest, _generator, _reroot, _segment_lengths, tree_from_heads
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -60,31 +59,33 @@ class LinearArrangement:
     __slots__ = ("pos", "inverse")
 
     def __init__(self, positions: Sequence[int]):
-        self.pos = _ids(positions, "positions")
-        self.inverse = _invert(self.pos, "positions are not a bijection onto")
+        self.pos, self.inverse = _bijection(positions, "position")
 
     @classmethod
-    def _of_bijection(cls, positions: np.ndarray) -> "LinearArrangement":
-        """Wrap an int array of positions that is a bijection onto 1..n by
-        construction, without the checks of the public constructors."""
-        inverse = np.zeros(positions.size + 1, dtype=np.int64)
-        inverse[positions] = np.arange(1, positions.size + 1)
+    def _trusted(cls, pos: tuple[int, ...], inverse: tuple[int, ...]) -> "LinearArrangement":
+        """Wrap ``pos`` and ``inverse``, tuples of ints from index 1 behind a
+        0 that are inverse bijections of 1..n by construction, unchecked."""
         arrangement = cls.__new__(cls)
-        arrangement.pos = (0,) + tuple(positions.tolist())
-        arrangement.inverse = tuple(inverse.tolist())
+        arrangement.pos, arrangement.inverse = pos, inverse
         return arrangement
 
     @classmethod
+    def _of_bijection(cls, positions: np.ndarray) -> "LinearArrangement":
+        """:meth:`_trusted` for an int array of positions, a bijection onto 1..n."""
+        inverse = np.zeros(positions.size + 1, dtype=np.int64)
+        inverse[positions] = np.arange(1, positions.size + 1)
+        return cls._trusted((0,) + tuple(positions.tolist()), tuple(inverse.tolist()))
+
+    @classmethod
     def identity(cls, n: int) -> "LinearArrangement":
-        return cls(range(1, n + 1))
+        ids = tuple(range(_integer(n, "n", 0) + 1))
+        return cls._trusted(ids, ids)
 
     @classmethod
     def from_inverse(cls, vertices_by_position: Sequence[int]) -> "LinearArrangement":
         """Build from the sequence of vertex ids read left to right."""
-        arrangement = cls.__new__(cls)
-        arrangement.inverse = _ids(vertices_by_position, "vertex ids")
-        arrangement.pos = _invert(arrangement.inverse, "vertex sequence is not a permutation of")
-        return arrangement
+        inverse, pos = _bijection(vertices_by_position, "vertex id")
+        return cls._trusted(pos, inverse)
 
     @property
     def n(self) -> int:
@@ -102,26 +103,19 @@ class LinearArrangement:
         return f"LinearArrangement({' '.join(str(v) for v in self.inverse[1:])!r})"
 
 
-def _ids(values: Sequence[int], what: str) -> tuple[int, ...]:
-    """``(0, *values)``, each value taken through ``operator.index``, so that
-    numpy integers pass and a float or a string raises OutOfRange."""
-    try:
-        return (0, *map(operator.index, values))
-    except TypeError:
-        raise OutOfRange(f"{what} must be integers") from None
-
-
-def _invert(bijection: tuple, what: str) -> tuple[int, ...]:
-    """The inverse of a bijection of 1..n stored from index 1; anything
-    else raises OutOfRange, ``what`` 1..n."""
+def _bijection(values: Sequence[int], what: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``values`` and their inverse, each a tuple of ints from index 1 behind
+    a 0.  Each value goes through :func:`_integer`; values that are not a
+    permutation of 1..n raise OutOfRange, naming ``what``."""
+    bijection = (0, *(_integer(value, what, 1) for value in values))
     n = len(bijection) - 1
     inverse = [0] * (n + 1)
     for i in range(1, n + 1):
         x = bijection[i]
-        if not 1 <= x <= n or inverse[x]:
-            raise OutOfRange(f"{what} 1..{n}")
+        if x > n or inverse[x]:
+            raise OutOfRange(f"{what}s are not a permutation of 1..{n}")
         inverse[x] = i
-    return tuple(inverse)
+    return bijection, tuple(inverse)
 
 
 def _check_same_size(tree: RootedTree, arrangement: LinearArrangement) -> None:
@@ -230,13 +224,12 @@ def enumerate_projective(
     slowest and the last owner's fastest.  Each digit visits its block's
     orders lexicographically, with the vertex's own slot first, so the
     first arrangement lays out the tree depth first.  A vertex order is
-    read off the block orders in one stack pass.  Raises CapExceeded when
-    the total count is above ``cap`` (the count grows factorially with the
-    degrees), and OutOfRange for a negative ``cap``, both at the call
-    rather than at the first ``next()``.
+    read off the block orders, with its positions, in one stack pass.
+    Raises CapExceeded when the count is above ``cap`` (it grows
+    factorially with the degrees), and OutOfRange for a ``cap`` that is
+    not a non-negative integer, both at the call, not the first ``next()``.
     """
-    if cap < 0:
-        raise OutOfRange(f"cap must be non-negative, got {cap}")
+    cap = _integer(cap, "cap", 0)
     total = count_projective(tree)
     if total > cap:
         raise CapExceeded(f"{total} projective arrangements exceed the cap of {cap}")
@@ -248,6 +241,7 @@ def enumerate_projective(
             owners.append(v)
             pending.extend(reversed(children[v]))
     block_order: dict[int, tuple[int, ...]] = {}
+    pos = [0] * (tree.n + 1)  # every pass lays down, and so places, every vertex
 
     def odometer(i: int) -> Iterator[LinearArrangement]:
         if i < len(owners):
@@ -257,14 +251,15 @@ def enumerate_projective(
             return
         # an owner's subtree opens into its block, where its own slot is
         # pushed negated; a leaf or a negated slot is laid down
-        sequence, stack = [], [tree.root]
+        sequence, stack = [0], [tree.root]
         while stack:
             v = stack.pop()
             if v in block_order:
                 stack.extend(-u if u == v else u for u in reversed(block_order[v]))
             else:
+                pos[abs(v)] = len(sequence)
                 sequence.append(abs(v))
-        yield LinearArrangement.from_inverse(sequence)
+        yield LinearArrangement._trusted(tuple(pos), tuple(sequence))
 
     return odometer(0)
 

@@ -29,7 +29,7 @@ from . import expectation as expe
 from . import extrema
 from . import treebank
 from ._digits import exact_str
-from .errors import CapExceeded, OutOfRange, ProjlinError, UnreadableInput, UnwritableOutput
+from .errors import CapExceeded, OutOfRange, ProjlinError, UnreadableInput, UnwritableOutput, _integer
 from .montecarlo import estimate_expected_sum
 from .tree import TREE_CLASSES, canonical_code, make_class, parse_head_vector
 
@@ -53,8 +53,7 @@ def format_rational(value: Fraction, decimals: int | None = None) -> str:
     decimal with the requested number of digits."""
     if decimals is None:
         return exact_str(value)
-    if decimals < 0:
-        raise OutOfRange(f"decimal digits must be nonnegative, got {decimals}")
+    decimals = _integer(decimals, "decimal digits", 0)
     sign = "-" if value < 0 else ""
     scaled, remainder = divmod(abs(value.numerator) * 10**decimals, value.denominator)
     if 2 * remainder >= value.denominator:
@@ -108,9 +107,7 @@ def _resolve_seed(args) -> int:
             seed, source = int(env), "PROJLIN_SEED"
         except ValueError:
             raise ProjlinError(f"PROJLIN_SEED is not an integer: {env!r}") from None
-    if seed < 0:
-        raise OutOfRange(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    return _integer(seed, source, 0)
 
 
 def _add_tree_options(parser):
@@ -140,14 +137,13 @@ def _cmd_enumerate(args) -> int:
 def _cmd_sample(args) -> int:
     tree = _tree_from_args(args)
     seed = _resolve_seed(args)
-    if args.z < 1:
-        raise OutOfRange(f"--z must be a positive sample count, got {args.z}")
+    z = _integer(args.z, "--z", 1)
     if args.mean:
-        estimate = estimate_expected_sum(tree, args.z, seed)
+        estimate = estimate_expected_sum(tree, z, seed)
         print(repr(estimate.mean))
         return EXIT_OK
     vertices = np.arange(1, tree.n + 1)
-    for offsets in arr._segment_offsets(tree, args.z, np.random.default_rng(seed)):
+    for offsets in arr._segment_offsets(tree, z, np.random.default_rng(seed)):
         positions = arr._positions(tree, offsets)
         rows = np.empty_like(positions)  # row r: draw r's vertices by position
         np.put_along_axis(rows, positions - 1, vertices, axis=1)

@@ -1,8 +1,11 @@
 """Exception types raised across the package.
 
 Each class names the condition that was violated, so callers (and the CLI)
-can report failures by name without string matching.
+can report failures by name without string matching.  Every integer
+argument goes through the one check, :func:`_integer`.
 """
+
+import operator
 
 
 class ProjlinError(Exception):
@@ -46,7 +49,8 @@ class ZeroExact(ProjlinError):
 
 
 class MalformedLine(ProjlinError):
-    """A token line does not follow the expected 10-column format."""
+    """A malformed CoNLL-U token line.  Never raised: ``parse_conllu`` skips
+    its sentence with a reason that starts ``"MalformedLine: "``."""
 
 
 class UnreadableInput(ProjlinError):
@@ -55,3 +59,15 @@ class UnreadableInput(ProjlinError):
 
 class UnwritableOutput(ProjlinError):
     """An output file cannot be created."""
+
+
+def _integer(value, name: str, least: int, error: type[ProjlinError] = OutOfRange) -> int:
+    """``value`` as an int by ``operator.index``, so numpy integers pass;
+    raises ``error``, naming ``name``, for a non-integer or one below ``least``."""
+    try:
+        if operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    wording = "positive" if least else "non-negative"
+    raise error(f"{name} must be a {wording} integer, got {value!r}")

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arrangement import VARIANTS
-from .errors import OutOfRange
+from .errors import OutOfRange, _integer
 from .tree import RootedTree, _check_class_args, _Forest
 
 
@@ -28,8 +28,7 @@ def expected_sum_unconstrained(n: int) -> Fraction:
     Independent of the tree's shape; any tree on n vertices has n - 1
     edges, each with expected length (n + 1) / 3.
     """
-    if n < 1:
-        raise OutOfRange(f"n must be positive, got {n}")
+    n = _integer(n, "n", 1)
     return Fraction(n * n - 1, 3)
 
 
@@ -39,9 +38,11 @@ def edge_length_probability(n: int, d: int) -> Fraction:
     Equals 2 (n - d) / (n (n - 1)) for 1 <= d <= n - 1; the lengths sum to
     one and their mean is (n + 1) / 3.
     """
+    n = _integer(n, "n", 1)
     if n < 2:
         raise OutOfRange(f"edge lengths need n >= 2, got n={n}")
-    if not 1 <= d <= n - 1:
+    d = _integer(d, "edge length", 1)
+    if d > n - 1:
         raise OutOfRange(f"edge length {d} not in 1..{n - 1}")
     return Fraction(2 * (n - d), n * (n - 1))
 
@@ -75,7 +76,7 @@ def class_formula(tree_class: str, n: int, k: int | None = None) -> tuple[int, F
     and :func:`expected_sum_projective` would produce on the tree built by
     :func:`projlin.tree.make_class`, without building it.
     """
-    k = _check_class_args(tree_class, n, k)
+    n, k = _check_class_args(tree_class, n, k)
     if tree_class == "star_hub":
         return math.factorial(n), expected_sum_unconstrained(n)
     if tree_class == "star_leaf":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Mapping, Sequence
 
-from .errors import CapExceeded, OutOfRange
+from .errors import CapExceeded, OutOfRange, _integer
 from .expectation import expected_sum_unconstrained
 from .tree import RootedTree, _attach_root, make_class
 
@@ -102,15 +102,14 @@ def combine_forests(
         yield _attach_root([tree for trees in choice for tree in trees])
 
 
-def _check_size(n: int, cap: int) -> None:
-    """OutOfRange for n < 1 or a negative ``cap``, CapExceeded for n above
-    ``cap``."""
-    if n < 1:
-        raise OutOfRange(f"n must be positive, got {n}")
-    if cap < 0:
-        raise OutOfRange(f"cap must be non-negative, got {cap}")
+def _check_size(n: int, cap: int) -> int:
+    """``n`` as an int, after :func:`_integer` checks ``n`` and ``cap``;
+    CapExceeded for n above ``cap``."""
+    n = _integer(n, "n", 1)
+    cap = _integer(cap, "cap", 0)
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the cap of {cap}; raise cap= to override")
+    return n
 
 
 def min_expected_sum(n: int, memo: MemoTable | None = None, cap: int = DEFAULT_MIN_CAP) -> OptimumEntry:
@@ -123,7 +122,7 @@ def min_expected_sum(n: int, memo: MemoTable | None = None, cap: int = DEFAULT_M
     is built as a tree and their number grows fast (2,653 at n = 120).
     A negative ``cap`` raises OutOfRange.
     """
-    _check_size(n, cap)
+    n = _check_size(n, cap)
     if memo is None:
         memo = {}
     for m in range(1, n + 1):
@@ -166,8 +165,7 @@ def enumerate_rooted_trees(n: int, cap: int = DEFAULT_TREE_ENUM_CAP) -> Iterator
     OutOfRange and n above ``cap`` CapExceeded, at the call rather than at
     the first ``next()``.
     """
-    _check_size(n, cap)
-    return _rooted_trees(n)
+    return _rooted_trees(_check_size(n, cap))
 
 
 def _rooted_trees(n: int) -> Iterator[RootedTree]:

@@ -20,8 +20,8 @@ from typing import Iterable
 import numpy as np
 
 from .arrangement import _forest_totals
-from .errors import OutOfRange, ZeroExact
-from .tree import RootedTree, _check_seed, _generator
+from .errors import OutOfRange, ZeroExact, _integer
+from .tree import RootedTree, _generator
 
 # Keep each block of bootstrap indices around 8 MB regardless of group size.
 _BOOTSTRAP_CELLS = 1_000_000
@@ -65,8 +65,7 @@ def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     bounded memory, and their sums are integers, so the accumulation is
     exact and only the final division produces a float.
     """
-    if z < 1:
-        raise OutOfRange(f"z must be positive, got {z}")
+    z = _integer(z, "z", 1)
     (total,) = _forest_totals(tree, z, _generator(seed))
     return MCEstimate(z, total / z, seed)
 
@@ -94,10 +93,11 @@ def aggregate_errors(
     bootstrap with the given number of resamples; a single record yields
     the degenerate interval at its own value.  The resample indices are
     drawn in blocks of rows of about ``_BOOTSTRAP_CELLS`` cells, so memory
-    stays bounded however many records share one size.  A negative seed
-    raises OutOfRange.
+    stays bounded however many records share one size.  A negative seed or
+    fewer than one resample raises OutOfRange.
     """
-    _check_seed(seed)
+    seed = _integer(seed, "seed", 0)
+    resamples = _integer(resamples, "resamples", 1)
     grouped: dict[int, list[float]] = {}
     for n, err in records:
         grouped.setdefault(n, []).append(err)

@@ -43,6 +43,7 @@ from .errors import (
     MultipleHeads,
     OutOfRange,
     UnsupportedSize,
+    _integer,
 )
 
 TREE_CLASSES = (
@@ -134,7 +135,8 @@ class RootedTree:
         the result's root is vertex 1 and its children lists keep the
         order of this tree's (ascending) ones.
         """
-        if not 1 <= v <= self.n:
+        v = _integer(v, "vertex", 1)
+        if v > self.n:
             raise OutOfRange(f"vertex {v} not in 1..{self.n}")
         order = _bfs_order(v, self.children)
         relabel = {u: i for i, u in enumerate(order, 1)}
@@ -328,12 +330,12 @@ def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTre
     """Build and validate a rooted tree from (child, parent) links.
 
     The links may come in any order; only the parent of each vertex is
-    kept.  Raises MultipleHeads, CycleDetected, Disconnected, BadRoot, or
-    OutOfRange, naming the violated condition.
+    kept.  Raises UnsupportedSize, MultipleHeads, CycleDetected,
+    Disconnected, BadRoot, or OutOfRange, naming the violated condition.
     """
-    if n < 1:
-        raise UnsupportedSize(f"a tree needs at least one vertex, got n={n}")
-    if not 1 <= root <= n:
+    n = _integer(n, "n", 1, UnsupportedSize)
+    root = _integer(root, "root", 1, BadRoot)
+    if root > n:
         raise BadRoot(f"root {root} not in 1..{n}")
     parent = [0] * (n + 1)
     for link in links:
@@ -418,8 +420,8 @@ def canonical_code(tree: RootedTree) -> bytes:
     return codes[tree.root]
 
 
-def _check_class_args(tree_class: str, n: int, k: int | None) -> int | None:
-    """Validate the arguments of a named tree class; return ``k`` normalized.
+def _check_class_args(tree_class: str, n: int, k: int | None) -> tuple[int, int | None]:
+    """Validate the arguments of a named tree class; return them normalized.
 
     Raises OutOfRange for an unknown class and UnsupportedSize for a size
     the class does not have.  For ``linear_k``, ``k`` defaults to 0 and
@@ -427,18 +429,17 @@ def _check_class_args(tree_class: str, n: int, k: int | None) -> int | None:
     """
     if tree_class not in TREE_CLASSES:
         raise OutOfRange(f"unknown tree class {tree_class!r}")
-    if n < 1:
-        raise UnsupportedSize(f"n must be positive, got {n}")
+    n = _integer(n, "n", 1, UnsupportedSize)
     if tree_class == "star_leaf" and n < 2:
         raise UnsupportedSize("star_leaf needs n >= 2")
     if tree_class == "linear_k":
-        k = 0 if k is None else k
-        if not 0 <= k <= n - 1:
+        k = _integer(0 if k is None else k, "k", 0, UnsupportedSize)
+        if k > n - 1:
             raise UnsupportedSize(f"linear_k needs 0 <= k <= {n - 1}, got {k}")
-        return min(k, n - 1 - k)
+        return n, min(k, n - 1 - k)
     if tree_class.startswith("qstar_") and n < 4:
         raise UnsupportedSize(f"quasi-star classes need n >= 4, got {n}")
-    return k
+    return n, k
 
 
 def make_class(tree_class: str, n: int, k: int | None = None) -> RootedTree:
@@ -452,7 +453,7 @@ def make_class(tree_class: str, n: int, k: int | None = None) -> RootedTree:
     ``k`` from one end.  ``k`` is normalized to ``min(k, n - 1 - k)`` since
     the two rootings are isomorphic.
     """
-    k = _check_class_args(tree_class, n, k)
+    n, k = _check_class_args(tree_class, n, k)
     if tree_class == "star_hub":
         return build_tree(n, [(i, 1) for i in range(2, n + 1)], 1)
     if tree_class == "star_leaf":
@@ -480,20 +481,12 @@ def make_class(tree_class: str, n: int, k: int | None = None) -> RootedTree:
     return build_tree(n, links, 1)
 
 
-def _check_seed(seed) -> None:
-    """Raise OutOfRange for a negative int seed, which numpy rejects with
-    a ValueError."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise OutOfRange(f"seed must be a non-negative integer, got {seed}")
-
-
 def _generator(seed) -> np.random.Generator:
     """``seed`` itself when it is a ``numpy.random.Generator``, else a new
-    generator seeded with it; a negative int seed raises OutOfRange."""
+    generator seeded with it, a non-negative integer (else OutOfRange)."""
     if isinstance(seed, np.random.Generator):
         return seed
-    _check_seed(seed)
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_integer(seed, "seed", 0))
 
 
 def random_tree(n: int, seed) -> RootedTree:
@@ -506,8 +499,7 @@ def random_tree(n: int, seed) -> RootedTree:
     ``seed`` may be an int or a ``numpy.random.Generator``; the result is
     deterministic given both.
     """
-    if n < 1:
-        raise UnsupportedSize(f"n must be positive, got {n}")
+    n = _integer(n, "n", 1, UnsupportedSize)
     rng = _generator(seed)
     if n == 1:
         return tree_from_heads([0])

@@ -35,10 +35,10 @@ import numpy as np
 
 from ._digits import exact_str
 from .arrangement import _forest_totals, _identity_projective, count_projective
-from .errors import OutOfRange, ProjlinError
+from .errors import OutOfRange, ProjlinError, _integer
 from .expectation import _closed_numerators
 from .montecarlo import ErrorStats, aggregate_errors, relative_error
-from .tree import RootedTree, _check_seed, _forest, tree_from_heads
+from .tree import RootedTree, _forest, tree_from_heads
 
 # Sentences drawn together as one forest.  On the benchmark's 200-sentence
 # corpus at z = 10, 100 and 1000, 8 to 32 timed alike and 16 best; larger
@@ -236,16 +236,15 @@ def analyze_treebank(
     derived per (block index, z index), so any ``jobs`` value produces
     identical numbers, and a sentence's estimates depend only on the
     sentences of its own block.  Error statistics exclude single-vertex
-    sentences, whose exact expectation is zero.  A negative seed, ``jobs`` below 1, an
-    empty ``z_values``, a z value below 1 or a z value given twice raises
-    OutOfRange.
+    sentences, whose exact expectation is zero.  A seed, ``jobs`` or z value
+    that is not an integer, a negative seed, ``jobs`` or a z value below 1,
+    an empty ``z_values`` or a z value given twice raises OutOfRange.
     """
-    _check_seed(seed)
-    if jobs < 1:
-        raise OutOfRange(f"jobs must be at least 1, got {jobs}")
-    z_values = tuple(int(z) for z in z_values)
-    if not z_values or min(z_values) < 1:
-        raise OutOfRange(f"z_values must be nonempty and positive, got {list(z_values)}")
+    seed = _integer(seed, "seed", 0)
+    jobs = _integer(jobs, "jobs", 1)
+    z_values = tuple(_integer(z, "z", 1) for z in z_values)
+    if not z_values:
+        raise OutOfRange("z_values must be nonempty")
     if len(set(z_values)) != len(z_values):
         raise OutOfRange(f"z values must be distinct, got {', '.join(map(str, z_values))}")
     skips: dict[str, int] = {}

@@ -2,34 +2,46 @@
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from projlin import (
+    BadRoot,
     CapExceeded,
     LinearArrangement,
     OutOfRange,
     SizeMismatch,
+    UnsupportedSize,
     aggregate_errors,
+    analyze_treebank,
     build_tree,
+    class_formula,
     combine_forests,
     count_projective,
     edge_length_probability,
     enumerate_projective,
     enumerate_rooted_trees,
+    estimate_expected_sum,
     expected_sum_projective,
+    expected_sum_unconstrained,
     is_planar,
     is_projective,
     make_class,
+    max_expected_sum,
     min_expected_sum,
+    parse_conllu,
     parse_head_vector,
     random_tree,
     sample_projective,
     sum_edge_lengths,
 )
 from projlin import arrangement
+from projlin.cli import format_rational
 from projlin.tree import _forest
 from helpers import (
     NarrowKeys,
@@ -41,9 +53,22 @@ from helpers import (
     oracle_is_planar,
     oracle_is_projective,
     oracle_segment_offsets,
+    random_tree_corpus,
 )
 
 CHAIN3 = parse_head_vector("0 1 2")
+
+
+def _sentences(trees):
+    lines = []
+    for tree in trees:
+        lines += [f"{v}\tw{v}\t_\tX\t_\t_\t{h}\t_\t_\t_" for v, h in enumerate(tree.parent[1:], 1)]
+        lines.append("")
+    return list(parse_conllu(lines))
+
+
+# more sentences than one block holds, so that jobs=2 runs a process pool
+CORPUS = _sentences(random_tree_corpus(20, 1, 9, 17))
 
 
 def test_arrangement_validation():
@@ -79,6 +104,9 @@ def test_arrangement_validation():
         lambda: build_tree(2, [(2, 1, 1)], 1),
         lambda: LinearArrangement([2.7, 1.2]),
         lambda: LinearArrangement.from_inverse(["2", 1.9]),
+        lambda: analyze_treebank(CORPUS, z_values=[10.5]),
+        lambda: aggregate_errors([(3, 0.1)], resamples=0),
+        lambda: LinearArrangement.identity(-3),
     ],
     ids=[
         "positions",
@@ -100,11 +128,72 @@ def test_arrangement_validation():
         "link_of_three_ids",
         "float_positions",
         "non_integer_vertex_ids",
+        "fractional_z",
+        "no_resamples",
+        "negative_identity",
     ],
 )
 def test_bad_arguments_raise_out_of_range(call):
     with pytest.raises(OutOfRange):
         call()
+
+
+# Every integer argument of the entry points: a call that takes the value,
+# the least value the argument accepts, the error a bad value raises, and
+# whether None is valid (it selects a default).
+INTEGER_ARGUMENTS = {
+    "build_tree_n": (lambda v: build_tree(v, [(2, 1)], 1), 1, UnsupportedSize, False),
+    "build_tree_root": (lambda v: build_tree(2, [(2, 1)], v), 1, BadRoot, False),
+    "make_class_n": (lambda v: make_class("star_hub", v), 1, UnsupportedSize, False),
+    "make_class_k": (lambda v: make_class("linear_k", 5, v), 0, UnsupportedSize, True),
+    "class_formula_n": (lambda v: class_formula("star_hub", v), 1, UnsupportedSize, False),
+    "class_formula_k": (lambda v: class_formula("linear_k", 5, v), 0, UnsupportedSize, True),
+    "random_tree_n": (lambda v: random_tree(v, 1), 1, UnsupportedSize, False),
+    "random_tree_seed": (lambda v: random_tree(5, v), 0, OutOfRange, False),
+    "subtree_vertex": (lambda v: CHAIN3.subtree(v), 1, OutOfRange, False),
+    "unconstrained_n": (lambda v: expected_sum_unconstrained(v), 1, OutOfRange, False),
+    "edge_probability_n": (lambda v: edge_length_probability(v, 1), 1, OutOfRange, False),
+    "edge_probability_d": (lambda v: edge_length_probability(5, v), 1, OutOfRange, False),
+    "enumerate_cap": (lambda v: enumerate_projective(CHAIN3, v), 0, OutOfRange, False),
+    "identity_n": (lambda v: LinearArrangement.identity(v), 0, OutOfRange, False),
+    "minima_n": (lambda v: min_expected_sum(v), 1, OutOfRange, False),
+    "minima_cap": (lambda v: min_expected_sum(3, cap=v), 0, OutOfRange, False),
+    "rooted_trees_n": (lambda v: enumerate_rooted_trees(v), 1, OutOfRange, False),
+    "rooted_trees_cap": (lambda v: enumerate_rooted_trees(3, cap=v), 0, OutOfRange, False),
+    "maxima_n": (lambda v: max_expected_sum(v), 1, OutOfRange, False),
+    "sample_seed": (lambda v: sample_projective(CHAIN3, v), 0, OutOfRange, False),
+    "estimate_z": (lambda v: estimate_expected_sum(CHAIN3, v, 1), 1, OutOfRange, False),
+    "estimate_seed": (lambda v: estimate_expected_sum(CHAIN3, 10, v), 0, OutOfRange, False),
+    "aggregate_resamples": (lambda v: aggregate_errors([(3, 0.1)], resamples=v), 1, OutOfRange, False),
+    "aggregate_seed": (lambda v: aggregate_errors([(3, 0.1)], seed=v), 0, OutOfRange, False),
+    "analyze_z": (lambda v: analyze_treebank(CORPUS, [10, v]), 1, OutOfRange, False),
+    "analyze_seed": (lambda v: analyze_treebank(CORPUS, [10], seed=v), 0, OutOfRange, False),
+    "analyze_jobs": (lambda v: analyze_treebank(CORPUS, [10], jobs=v), 1, OutOfRange, False),
+    "decimal_digits": (lambda v: format_rational(Fraction(1, 3), v), 0, OutOfRange, True),
+}
+
+
+def _not_integers(least, none_is_valid):
+    """Integral and non-integral floats, numeric strings, None, and the ints
+    below ``least``: negative ones, and 0 where 0 is out of range."""
+    return st.one_of(
+        st.integers(-3, 40).map(float),
+        st.integers(-3, 40).map(np.float64),
+        st.floats().filter(lambda x: not x.is_integer()),
+        st.integers(-3, 40).map(str),
+        st.nothing() if none_is_valid else st.none(),
+        st.integers(max_value=least - 1),
+    )
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_arguments_raise_their_documented_error(argument, data):
+    call, least, error, none_is_valid = INTEGER_ARGUMENTS[argument]
+    value = data.draw(_not_integers(least, none_is_valid))
+    with pytest.raises(error):  # a bare TypeError, ValueError or IndexError fails here
+        call(value)
 
 
 def test_numpy_integer_ids_are_accepted():
@@ -113,6 +202,28 @@ def test_numpy_integer_ids_are_accepted():
     assert LinearArrangement.from_inverse(ids).inverse[1:] == (2, 1, 3)
     assert all(type(p) is int for p in LinearArrangement(ids).pos)
     assert build_tree(3, [(np.int64(2), 1), (3, np.int32(2))], 1) == CHAIN3
+    # numpy integer sizes, roots, caps, seeds, z and jobs give what ints give
+    n, cap, seed, z, jobs = np.int64(6), np.int32(50), np.uint32(3), np.int16(10), np.int64(2)
+    tree = random_tree(n, seed)
+    assert tree == random_tree(6, 3)
+    assert build_tree(np.int8(3), [(2, 1), (3, 2)], np.int64(1)) == CHAIN3
+    assert list(enumerate_projective(tree, cap=np.int64(10**4))) == list(enumerate_projective(tree))
+    assert min_expected_sum(n, cap=cap) == min_expected_sum(6, cap=50)
+    assert list(enumerate_rooted_trees(n, cap=cap)) == list(enumerate_rooted_trees(6, cap=50))
+    assert make_class("linear_k", n, np.int64(2)) == make_class("linear_k", 6, 2)
+    assert LinearArrangement.identity(n) == LinearArrangement.identity(6)
+    assert sample_projective(tree, seed) == sample_projective(tree, 3)
+    # int64 arithmetic would wrap: 2^69 arrangements, (2^32)^2 - 1 over 3
+    assert class_formula("linear_k", np.int64(70)) == class_formula("linear_k", 70)
+    assert expected_sum_unconstrained(np.int64(2**32)) == expected_sum_unconstrained(2**32)
+    estimate = estimate_expected_sum(tree, z, seed)
+    assert estimate == estimate_expected_sum(tree, 10, 3)
+    assert type(estimate.z) is int and type(estimate.mean) is float
+    records = [(3, 0.1), (3, -0.2), (4, 0.05)]
+    assert aggregate_errors(records, np.int64(50), seed) == aggregate_errors(records, 50, 3)
+    report = analyze_treebank(CORPUS, [z], seed=seed, jobs=jobs)
+    assert report == analyze_treebank(CORPUS, [10], seed=3, jobs=1)
+    assert format_rational(Fraction(1, 3), np.int64(4)) == format_rational(Fraction(1, 3), 4)
 
 
 def test_sum_edge_lengths_examples():
