@@ -39,8 +39,6 @@ def edge_length_probability(n: int, d: int) -> Fraction:
     one and their mean is (n + 1) / 3.
     """
     n = _integer(n, "n", 1)
-    if n < 2:
-        raise OutOfRange(f"edge lengths need n >= 2, got n={n}")
     d = _integer(d, "edge length", 1)
     if d > n - 1:
         raise OutOfRange(f"edge length {d} not in 1..{n - 1}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arrangement import _forest_totals
 from .errors import OutOfRange, ZeroExact, _integer
-from .tree import RootedTree, _generator
+from .tree import RootedTree
 
 # Keep each block of bootstrap indices around 8 MB regardless of group size.
 _BOOTSTRAP_CELLS = 1_000_000
@@ -66,7 +66,8 @@ def estimate_expected_sum(tree: RootedTree, z: int, seed: int) -> MCEstimate:
     exact and only the final division produces a float.
     """
     z = _integer(z, "z", 1)
-    (total,) = _forest_totals(tree, z, _generator(seed))
+    seed = _integer(seed, "seed", 0)
+    (total,) = _forest_totals(tree, z, np.random.default_rng(seed))
     return MCEstimate(z, total / z, seed)
 
 

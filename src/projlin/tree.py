@@ -30,9 +30,9 @@ unlabeled-isomorphism tests, and uniform random labeled trees.
 
 from __future__ import annotations
 
-import operator
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,15 +46,20 @@ from .errors import (
     _integer,
 )
 
-TREE_CLASSES = (
-    "star_hub",
-    "star_leaf",
-    "qstar_hub",
-    "qstar_edge_leaf",
-    "qstar_far_leaf",
-    "qstar_bridge",
-    "linear_k",
-)
+# Every named class but the path on its fewest vertices: a head vector
+# (entry i is the parent of vertex i + 1) and the hub below which every
+# further vertex hangs.  A quasi-star's internal vertex lies on its one
+# subdivided edge, between the hub and the far leaf.
+_CLASS_HEADS = {
+    "star_hub": ((0,), 1),  # 1 = hub
+    "star_leaf": ((0, 1), 2),  # 1 = a leaf, 2 = hub
+    "qstar_hub": ((0, 1, 2, 1), 1),  # 1 = hub, 2 = internal, 3 = far leaf, 4 = a hub leaf
+    "qstar_edge_leaf": ((0, 1, 2, 3), 2),  # 1 = a hub leaf, 2 = hub, 3 = internal, 4 = far leaf
+    "qstar_far_leaf": ((0, 1, 2, 3), 3),  # 1 = far leaf, 2 = internal, 3 = hub, 4 = a hub leaf
+    "qstar_bridge": ((0, 1, 1, 3), 3),  # 1 = internal, 2 = far leaf, 3 = hub, 4 = a hub leaf
+}
+
+TREE_CLASSES = (*_CLASS_HEADS, "linear_k")
 
 # The characters of a head vector that np.fromstring reads as str.split
 # would: the ASCII digits and the six ASCII whitespace characters.
@@ -337,13 +342,16 @@ def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTre
     root = _integer(root, "root", 1, BadRoot)
     if root > n:
         raise BadRoot(f"root {root} not in 1..{n}")
+    if not isinstance(links, Iterable):
+        raise OutOfRange(f"links must be an iterable of (child, parent) pairs, got {links!r}")
     parent = [0] * (n + 1)
     for link in links:
         try:
-            child, par = map(operator.index, link)
+            child, par = link
         except (TypeError, ValueError):
-            raise OutOfRange(f"link {link!r} is not a pair of integer vertex ids") from None
-        if not (1 <= child <= n and 1 <= par <= n):
+            raise OutOfRange(f"link {link!r} is not a pair of vertex ids") from None
+        child, par = _integer(child, "vertex id", 1), _integer(par, "vertex id", 1)
+        if child > n or par > n:
             raise OutOfRange(f"link ({child}, {par}) not within 1..{n}")
         if child == par:
             raise CycleDetected(f"vertex {child} is its own parent")
@@ -384,8 +392,11 @@ def parse_head_vector(text: str) -> RootedTree:
     read by one ``np.fromstring`` call; that call would turn blank text
     into ``[0]``, stop silently at a bad token and saturate an overflowing
     entry, so every other text, and any entry read above the entry count,
-    goes through ``str.split``, which names the error.
+    goes through ``str.split``, which names the error.  Anything but a
+    ``str`` raises OutOfRange.
     """
+    if not isinstance(text, str):
+        raise OutOfRange(f"a head vector is text, got {type(text).__name__}")
     if text and text.isascii() and not text.isspace():
         if not text.encode().translate(None, _DIGITS_AND_SPACE):
             heads = np.fromstring(text, dtype=np.int64, sep=" ")
@@ -424,21 +435,21 @@ def _check_class_args(tree_class: str, n: int, k: int | None) -> tuple[int, int 
     """Validate the arguments of a named tree class; return them normalized.
 
     Raises OutOfRange for an unknown class and UnsupportedSize for a size
-    the class does not have.  For ``linear_k``, ``k`` defaults to 0 and
-    becomes ``min(k, n - 1 - k)``; other classes ignore it.
+    the class does not have (below the length of its ``_CLASS_HEADS``
+    entry).  For ``linear_k``, ``k`` defaults to 0 and becomes
+    ``min(k, n - 1 - k)``; other classes ignore it.
     """
     if tree_class not in TREE_CLASSES:
         raise OutOfRange(f"unknown tree class {tree_class!r}")
     n = _integer(n, "n", 1, UnsupportedSize)
-    if tree_class == "star_leaf" and n < 2:
-        raise UnsupportedSize("star_leaf needs n >= 2")
     if tree_class == "linear_k":
         k = _integer(0 if k is None else k, "k", 0, UnsupportedSize)
         if k > n - 1:
             raise UnsupportedSize(f"linear_k needs 0 <= k <= {n - 1}, got {k}")
         return n, min(k, n - 1 - k)
-    if tree_class.startswith("qstar_") and n < 4:
-        raise UnsupportedSize(f"quasi-star classes need n >= 4, got {n}")
+    least = len(_CLASS_HEADS[tree_class][0])
+    if n < least:
+        raise UnsupportedSize(f"{tree_class} needs n >= {least}, got {n}")
     return n, k
 
 
@@ -447,38 +458,21 @@ def make_class(tree_class: str, n: int, k: int | None = None) -> RootedTree:
 
     ``star_hub`` and ``star_leaf`` are the star on n vertices rooted at its
     hub or at a leaf; the four ``qstar_*`` variants are the quasi-star (a
-    star with one subdivided edge, n >= 4) rooted at the hub, at a leaf
-    adjacent to the hub, at the far leaf of the subdivided edge, or at the
-    internal non-hub vertex; ``linear_k`` is the path rooted at distance
-    ``k`` from one end.  ``k`` is normalized to ``min(k, n - 1 - k)`` since
-    the two rootings are isomorphic.
+    star with one subdivided edge) rooted at the hub, at a leaf adjacent to
+    the hub, at the far leaf of the subdivided edge, or at the internal
+    non-hub vertex.  Each is its ``_CLASS_HEADS`` entry with vertices
+    ``len(entry) + 1`` to n hung below the entry's hub, so it needs n at
+    least the entry's length: 1 for ``star_hub``, 2 for ``star_leaf``, 4
+    for a quasi-star.  ``linear_k`` is the path 1 - 2 - ... - n rooted at
+    vertex ``k + 1``, at distance ``k`` from one end, for any n >= 1.  ``k``
+    is normalized to ``min(k, n - 1 - k)`` since the two rootings are
+    isomorphic.
     """
     n, k = _check_class_args(tree_class, n, k)
-    if tree_class == "star_hub":
-        return build_tree(n, [(i, 1) for i in range(2, n + 1)], 1)
-    if tree_class == "star_leaf":
-        links = [(2, 1)] + [(i, 2) for i in range(3, n + 1)]
-        return build_tree(n, links, 1)
     if tree_class == "linear_k":
-        root = k + 1
-        links = [(i, i + 1) for i in range(root - 1, 0, -1)]
-        links += [(i, i - 1) for i in range(root + 1, n + 1)]
-        return build_tree(n, links, root)
-    if tree_class == "qstar_hub":
-        # root 1 = hub, 2 = internal vertex, 3 = far leaf, rest hub leaves
-        links = [(2, 1), (3, 2)] + [(i, 1) for i in range(4, n + 1)]
-        return build_tree(n, links, 1)
-    if tree_class == "qstar_edge_leaf":
-        # root 1 = a leaf adjacent to the hub 2; 3 = internal, 4 = far leaf
-        links = [(2, 1), (3, 2), (4, 3)] + [(i, 2) for i in range(5, n + 1)]
-        return build_tree(n, links, 1)
-    if tree_class == "qstar_far_leaf":
-        # root 1 = far leaf, 2 = internal vertex, 3 = hub
-        links = [(2, 1), (3, 2)] + [(i, 3) for i in range(4, n + 1)]
-        return build_tree(n, links, 1)
-    # qstar_bridge: root 1 = internal non-hub vertex, 2 = far leaf, 3 = hub
-    links = [(2, 1), (3, 1)] + [(i, 3) for i in range(4, n + 1)]
-    return build_tree(n, links, 1)
+        return tree_from_heads([*range(2, k + 2), 0, *range(k + 1, n)])
+    heads, hub = _CLASS_HEADS[tree_class]
+    return tree_from_heads(heads + (hub,) * (n - len(heads)))
 
 
 def _generator(seed) -> np.random.Generator:

@@ -85,6 +85,50 @@ def oracle_subtree(tree, v):
     return build_tree(len(relabel), links, 1)
 
 
+# The fewest vertices of each named tree class, in the order of TREE_CLASSES.
+CLASS_MINIMUM = {
+    "star_hub": 1,
+    "star_leaf": 2,
+    "qstar_hub": 4,
+    "qstar_edge_leaf": 4,
+    "qstar_far_leaf": 4,
+    "qstar_bridge": 4,
+    "linear_k": 1,
+}
+
+
+def oracle_make_class(tree_class, n, k=None):
+    """The named tree class built link by link, with the labels that
+    ``make_class`` documents; ``k`` is normalized as it normalizes it."""
+    if tree_class == "star_hub":
+        return build_tree(n, [(i, 1) for i in range(2, n + 1)], 1)
+    if tree_class == "star_leaf":
+        links = [(2, 1)] + [(i, 2) for i in range(3, n + 1)]
+        return build_tree(n, links, 1)
+    if tree_class == "linear_k":
+        k = 0 if k is None else min(k, n - 1 - k)
+        root = k + 1
+        links = [(i, i + 1) for i in range(root - 1, 0, -1)]
+        links += [(i, i - 1) for i in range(root + 1, n + 1)]
+        return build_tree(n, links, root)
+    if tree_class == "qstar_hub":
+        # root 1 = hub, 2 = internal vertex, 3 = far leaf, rest hub leaves
+        links = [(2, 1), (3, 2)] + [(i, 1) for i in range(4, n + 1)]
+        return build_tree(n, links, 1)
+    if tree_class == "qstar_edge_leaf":
+        # root 1 = a leaf adjacent to the hub 2; 3 = internal, 4 = far leaf
+        links = [(2, 1), (3, 2), (4, 3)] + [(i, 2) for i in range(5, n + 1)]
+        return build_tree(n, links, 1)
+    if tree_class == "qstar_far_leaf":
+        # root 1 = far leaf, 2 = internal vertex, 3 = hub
+        links = [(2, 1), (3, 2)] + [(i, 3) for i in range(4, n + 1)]
+        return build_tree(n, links, 1)
+    assert tree_class == "qstar_bridge"
+    # root 1 = internal non-hub vertex, 2 = far leaf, 3 = hub
+    links = [(2, 1), (3, 1)] + [(i, 3) for i in range(4, n + 1)]
+    return build_tree(n, links, 1)
+
+
 def brute_projective_arrangements(tree):
     """All projective arrangements found by filtering the full n! sweep."""
     return [a for a in all_arrangements(tree.n) if oracle_is_projective(tree, a)]

@@ -107,6 +107,10 @@ def test_arrangement_validation():
         lambda: analyze_treebank(CORPUS, z_values=[10.5]),
         lambda: aggregate_errors([(3, 0.1)], resamples=0),
         lambda: LinearArrangement.identity(-3),
+        lambda: build_tree(2, None, 1),
+        lambda: parse_head_vector(None),
+        lambda: parse_head_vector(b"0 1"),
+        lambda: estimate_expected_sum(CHAIN3, 10, np.random.default_rng(3)),
     ],
     ids=[
         "positions",
@@ -131,6 +135,10 @@ def test_arrangement_validation():
         "fractional_z",
         "no_resamples",
         "negative_identity",
+        "links_not_iterable",
+        "head_vector_none",
+        "head_vector_bytes",
+        "estimate_generator_seed",
     ],
 )
 def test_bad_arguments_raise_out_of_range(call):
@@ -144,6 +152,7 @@ def test_bad_arguments_raise_out_of_range(call):
 INTEGER_ARGUMENTS = {
     "build_tree_n": (lambda v: build_tree(v, [(2, 1)], 1), 1, UnsupportedSize, False),
     "build_tree_root": (lambda v: build_tree(2, [(2, 1)], v), 1, BadRoot, False),
+    "build_tree_link_id": (lambda v: build_tree(2, [(2, v)], 1), 1, OutOfRange, False),
     "make_class_n": (lambda v: make_class("star_hub", v), 1, UnsupportedSize, False),
     "make_class_k": (lambda v: make_class("linear_k", 5, v), 0, UnsupportedSize, True),
     "class_formula_n": (lambda v: class_formula("star_hub", v), 1, UnsupportedSize, False),
@@ -219,6 +228,7 @@ def test_numpy_integer_ids_are_accepted():
     estimate = estimate_expected_sum(tree, z, seed)
     assert estimate == estimate_expected_sum(tree, 10, 3)
     assert type(estimate.z) is int and type(estimate.mean) is float
+    assert type(estimate.seed) is int and estimate.seed == 3
     records = [(3, 0.1), (3, -0.2), (4, 0.05)]
     assert aggregate_errors(records, np.int64(50), seed) == aggregate_errors(records, 50, 3)
     report = analyze_treebank(CORPUS, [z], seed=seed, jobs=jobs)

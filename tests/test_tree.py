@@ -14,10 +14,12 @@ from projlin import (
     Disconnected,
     MultipleHeads,
     OutOfRange,
+    TREE_CLASSES,
     ProjlinError,
     UnsupportedSize,
     build_tree,
     canonical_code,
+    class_formula,
     enumerate_rooted_trees,
     make_class,
     parse_head_vector,
@@ -25,7 +27,9 @@ from projlin import (
     tree_from_heads,
 )
 from helpers import (
+    CLASS_MINIMUM,
     all_labeled_rooted_trees,
+    oracle_make_class,
     oracle_parse_head_vector,
     oracle_subtree,
     oracle_tree_from_heads,
@@ -140,6 +144,32 @@ def test_make_class_constraints():
         make_class("linear_k", 5, 5)
     with pytest.raises(ValueError):
         make_class("nonesuch", 5)
+
+
+@pytest.mark.parametrize("tree_class", TREE_CLASSES)
+def test_make_class_labels_vertices_as_the_link_recipes(tree_class):
+    least = CLASS_MINIMUM[tree_class]
+    for n in range(least, 41):
+        for k in range(n) if tree_class == "linear_k" else [None]:
+            tree = make_class(tree_class, n, k)
+            oracle = oracle_make_class(tree_class, n, k)
+            assert tree.root == oracle.root
+            assert tree.parent == oracle.parent
+            assert tree.head_vector() == oracle.head_vector()
+
+
+@pytest.mark.parametrize("tree_class", TREE_CLASSES)
+def test_every_class_is_unsupported_below_its_minimum(tree_class):
+    assert TREE_CLASSES == tuple(CLASS_MINIMUM)
+    least = CLASS_MINIMUM[tree_class]
+    for build in (make_class, class_formula):
+        with pytest.raises(UnsupportedSize):
+            build(tree_class, least - 1)
+        build(tree_class, least)
+    if least > 1:  # n = 0 is not a positive integer, whatever the class
+        message = f"^{tree_class} needs n >= {least}, got {least - 1}$"
+        with pytest.raises(UnsupportedSize, match=message):
+            make_class(tree_class, least - 1)
 
 
 def test_linear_k_rooting_symmetry():
