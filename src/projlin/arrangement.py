@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, OutOfRange, SizeMismatch, _integer
+from .errors import CapExceeded, OutOfRange, SizeMismatch, _integer, _iterable
 from .tree import RootedTree, _Forest, _generator, _reroot, _segment_lengths, tree_from_heads
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -105,8 +105,10 @@ class LinearArrangement:
 
 def _bijection(values: Sequence[int], what: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``values`` and their inverse, each a tuple of ints from index 1 behind
-    a 0.  Each value goes through :func:`_integer`; values that are not a
-    permutation of 1..n raise OutOfRange, naming ``what``."""
+    a 0.  ``values`` goes through :func:`_iterable` and each value through
+    :func:`_integer`; values that are not a permutation of 1..n raise
+    OutOfRange, naming ``what``."""
+    values = _iterable(values, f"{what}s", "positive integers")
     bijection = (0, *(_integer(value, what, 1) for value in values))
     n = len(bijection) - 1
     inverse = [0] * (n + 1)
@@ -298,10 +300,11 @@ def _segment_offsets(
     while z:
         keys = rng.integers(0, 2**64, size=(min(z, chunk), length.size), dtype=np.uint64)
         offsets = _ordered_blocks(tree.blocks, length, np.ascontiguousarray(keys.T))
+        del keys  # only the offsets stay alive while the caller uses the chunk
         if offsets.shape[1]:
             z -= offsets.shape[1]
             yield offsets.T
-        del keys, offsets  # hold no chunk while the next is drawn
+        del offsets  # hold no chunk while the next is drawn
 
 
 def _ordered_blocks(

@@ -147,7 +147,15 @@ def _cmd_sample(args) -> int:
         positions = arr._positions(tree, offsets)
         rows = np.empty_like(positions)  # row r: draw r's vertices by position
         np.put_along_axis(rows, positions - 1, vertices, axis=1)
-        print("\n".join(" ".join(map(str, row.tolist())) for row in rows))
+        del positions
+        # The text of a chunk goes out in column slices of at most
+        # _CHUNK_CELLS vertex ids.  A chunk of several rows is narrower
+        # than that, so it is one slice; a wider row is alone in its chunk.
+        for start in range(0, tree.n, arr._CHUNK_CELLS):
+            piece = rows[:, start : start + arr._CHUNK_CELLS]
+            text = "\n".join(" ".join(map(str, row.tolist())) for row in piece)
+            sys.stdout.write(" " + text if start else text)
+        sys.stdout.write("\n")
     return EXIT_OK
 
 

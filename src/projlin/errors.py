@@ -2,10 +2,12 @@
 
 Each class names the condition that was violated, so callers (and the CLI)
 can report failures by name without string matching.  Every integer
-argument goes through the one check, :func:`_integer`.
+argument goes through the one check, :func:`_integer`, and every sequence
+argument through :func:`_iterable`.
 """
 
 import operator
+from collections.abc import Iterable
 
 
 class ProjlinError(Exception):
@@ -71,3 +73,11 @@ def _integer(value, name: str, least: int, error: type[ProjlinError] = OutOfRang
         pass
     wording = "positive" if least else "non-negative"
     raise error(f"{name} must be a {wording} integer, got {value!r}")
+
+
+def _iterable(value, name: str, items: str) -> Iterable:
+    """``value`` if it can be iterated; else OutOfRange, naming ``name``
+    and the ``items`` it must hold."""
+    if isinstance(value, Iterable):
+        return value
+    raise OutOfRange(f"{name} must be an iterable of {items}, got {value!r}")

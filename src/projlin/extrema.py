@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Mapping, Sequence
 
-from .errors import CapExceeded, OutOfRange, _integer
+from .errors import CapExceeded, OutOfRange, _integer, _iterable
 from .expectation import expected_sum_unconstrained
 from .tree import RootedTree, _attach_root, make_class
 
@@ -87,14 +87,22 @@ def combine_forests(
     a run of k equal sizes takes the multisets of k candidates, by
     ``combinations_with_replacement``).  The runs go by decreasing size,
     and the forests are their product.  Provided each candidate list is
-    itself duplicate-free, no two yielded trees are isomorphic.
+    itself duplicate-free, no two yielded trees are isomorphic.  Part sizes
+    that are not positive integers, candidate lists that are not iterable
+    or lists of unequal length raise OutOfRange.
     """
+    sizes = _iterable(part_sizes, "part_sizes", "positive integers")
+    part_sizes = [_integer(size, "an entry of part_sizes", 1) for size in sizes]
+    per_size_trees = [
+        list(_iterable(trees, "an entry of per_size_trees", "rooted trees"))
+        for trees in _iterable(per_size_trees, "per_size_trees", "candidate lists")
+    ]
     if len(part_sizes) != len(per_size_trees):
         raise OutOfRange("part_sizes and per_size_trees must have equal length")
     paired = sorted(zip(part_sizes, per_size_trees), key=lambda it: -it[0])
     runs = []  # a run of equal sizes takes its first candidate list
     for size, run in itertools.groupby(paired, key=lambda it: it[0]):
-        candidates = [list(trees) for _, trees in run]
+        candidates = [trees for _, trees in run]
         if not all(candidates):
             raise OutOfRange(f"no candidate trees for part of size {size}")
         runs.append(itertools.combinations_with_replacement(candidates[0], len(candidates)))

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .arrangement import _forest_totals
-from .errors import OutOfRange, ZeroExact, _integer
+from .errors import OutOfRange, ZeroExact, _integer, _iterable
 from .tree import RootedTree
 
 # Keep each block of bootstrap indices around 8 MB regardless of group size.
@@ -94,14 +94,20 @@ def aggregate_errors(
     bootstrap with the given number of resamples; a single record yields
     the degenerate interval at its own value.  The resample indices are
     drawn in blocks of rows of about ``_BOOTSTRAP_CELLS`` cells, so memory
-    stays bounded however many records share one size.  A negative seed or
-    fewer than one resample raises OutOfRange.
+    stays bounded however many records share one size.  A negative seed,
+    fewer than one resample, or a record that is not a pair of a positive
+    integer and a number raises OutOfRange.
     """
     seed = _integer(seed, "seed", 0)
     resamples = _integer(resamples, "resamples", 1)
     grouped: dict[int, list[float]] = {}
-    for n, err in records:
-        grouped.setdefault(n, []).append(err)
+    for record in _iterable(records, "records", "(tree size, relative error) pairs"):
+        try:
+            n, err = record
+            err = float(err)
+        except (TypeError, ValueError):
+            raise OutOfRange(f"records must hold (tree size, relative error) pairs, got {record!r}") from None
+        grouped.setdefault(_integer(n, "a tree size in records", 1), []).append(err)
     if not grouped:
         raise OutOfRange("no error records to aggregate")
     tail = 100 * (1 - CONFIDENCE) / 2

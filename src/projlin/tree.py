@@ -44,6 +44,7 @@ from .errors import (
     OutOfRange,
     UnsupportedSize,
     _integer,
+    _iterable,
 )
 
 # Every named class but the path on its fewest vertices: a head vector
@@ -342,10 +343,8 @@ def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTre
     root = _integer(root, "root", 1, BadRoot)
     if root > n:
         raise BadRoot(f"root {root} not in 1..{n}")
-    if not isinstance(links, Iterable):
-        raise OutOfRange(f"links must be an iterable of (child, parent) pairs, got {links!r}")
     parent = [0] * (n + 1)
-    for link in links:
+    for link in _iterable(links, "links", "(child, parent) pairs"):
         try:
             child, par = link
         except (TypeError, ValueError):

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._digits import exact_str
 from .arrangement import _forest_totals, _identity_projective, count_projective
-from .errors import OutOfRange, ProjlinError, _integer
+from .errors import OutOfRange, ProjlinError, _integer, _iterable
 from .expectation import _closed_numerators
 from .montecarlo import ErrorStats, aggregate_errors, relative_error
 from .tree import RootedTree, _forest, tree_from_heads
@@ -238,18 +238,19 @@ def analyze_treebank(
     sentences of its own block.  Error statistics exclude single-vertex
     sentences, whose exact expectation is zero.  A seed, ``jobs`` or z value
     that is not an integer, a negative seed, ``jobs`` or a z value below 1,
-    an empty ``z_values`` or a z value given twice raises OutOfRange.
+    ``sentences`` or ``z_values`` not iterable, an empty ``z_values`` or a z
+    value given twice raises OutOfRange.
     """
     seed = _integer(seed, "seed", 0)
     jobs = _integer(jobs, "jobs", 1)
-    z_values = tuple(_integer(z, "z", 1) for z in z_values)
+    z_values = tuple(_integer(z, "z", 1) for z in _iterable(z_values, "z_values", "positive integers"))
     if not z_values:
         raise OutOfRange("z_values must be nonempty")
     if len(set(z_values)) != len(z_values):
         raise OutOfRange(f"z values must be distinct, got {', '.join(map(str, z_values))}")
     skips: dict[str, int] = {}
     accepted: list[TreebankSentence] = []
-    for item in sentences:
+    for item in _iterable(sentences, "sentences", "sentences and skip records"):
         if isinstance(item, SkipRecord):
             skips[item.reason] = skips.get(item.reason, 0) + 1
         else:

@@ -82,6 +82,22 @@ def test_arrangement_validation():
         LinearArrangement([0, 1, 2])
 
 
+# Sequence arguments of the wrong shape: a call and the argument its
+# message names.
+SEQUENCE_ARGUMENTS = {
+    "z_values_not_iterable": (lambda: analyze_treebank([], 10), "z_values"),
+    "sentences_not_iterable": (lambda: analyze_treebank(None, [10]), "sentences"),
+    "records_none": (lambda: aggregate_errors(None), "records"),
+    "record_of_one_value": (lambda: aggregate_errors([(3,)]), "records"),
+    "record_error_not_a_number": (lambda: aggregate_errors([(3, "x")]), "records"),
+    "record_size_not_an_integer": (lambda: aggregate_errors([(3.5, 0.1)]), "records"),
+    "positions_not_iterable": (lambda: LinearArrangement(5), "positions"),
+    "forest_arguments_none": (lambda: list(combine_forests(None, None)), "part_sizes"),
+    "forest_candidates_none": (lambda: list(combine_forests([1], [None])), "per_size_trees"),
+    "forest_size_not_an_integer": (lambda: list(combine_forests(["1"], [[]])), "part_sizes"),
+}
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -111,6 +127,7 @@ def test_arrangement_validation():
         lambda: parse_head_vector(None),
         lambda: parse_head_vector(b"0 1"),
         lambda: estimate_expected_sum(CHAIN3, 10, np.random.default_rng(3)),
+        *(call for call, _ in SEQUENCE_ARGUMENTS.values()),
     ],
     ids=[
         "positions",
@@ -139,10 +156,18 @@ def test_arrangement_validation():
         "head_vector_none",
         "head_vector_bytes",
         "estimate_generator_seed",
+        *SEQUENCE_ARGUMENTS,
     ],
 )
 def test_bad_arguments_raise_out_of_range(call):
     with pytest.raises(OutOfRange):
+        call()
+
+
+@pytest.mark.parametrize("argument", SEQUENCE_ARGUMENTS)
+def test_sequence_argument_errors_name_the_argument(argument):
+    call, name = SEQUENCE_ARGUMENTS[argument]
+    with pytest.raises(OutOfRange, match=name):
         call()
 
 

@@ -122,24 +122,65 @@ def test_sample_deterministic(capsys):
     assert other != first
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 4], ids=["one_chunk", "several_chunks"])
-def test_sample_prints_successive_sampler_draws(monkeypatch, capsys, chunk_rows):
+@pytest.mark.parametrize(
+    "chunk_cells",
+    [None, lambda n: 4 * (2 * n - 1), lambda n: max(1, n // 3)],
+    ids=["one_chunk", "several_chunks", "sliced_rows"],
+)
+def test_sample_prints_successive_sampler_draws(monkeypatch, capsys, chunk_cells):
     # the rows of sample --z are what z sample_projective calls on
-    # default_rng(seed) draw, on blocks below and past the pairwise cut-off
+    # default_rng(seed) draw, on blocks below and past the pairwise cut-off;
+    # chunks of 4 rows each, or a budget below n that writes every row in
+    # several slices
     rng = np.random.default_rng(808)
     trees = [random_tree(int(rng.integers(2, 40)), rng) for _ in range(6)]
     trees += [make_class("star_hub", 13), caterpillar(4, 9)]
     for tree in trees:
         z = int(rng.integers(1, 15))
         seed = int(rng.integers(2**32))
-        if chunk_rows:
-            monkeypatch.setattr(arrangement, "_CHUNK_CELLS", chunk_rows * (2 * tree.n - 1))
+        if chunk_cells:
+            monkeypatch.setattr(arrangement, "_CHUNK_CELLS", chunk_cells(tree.n))
         args = ["sample", "--tree", tree.head_vector(), "--z", str(z), "--seed", str(seed)]
         code, out, _ = run(capsys, *args)
         draws = np.random.default_rng(seed)
         rows = [sample_projective(tree, draws).inverse[1:] for _ in range(z)]
         assert code == EXIT_OK
         assert out == "".join(" ".join(map(str, row)) + "\n" for row in rows), (tree, z)
+
+
+class _WriteRecorder:
+    """A stdout that keeps every string written to it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("n", [10, 300], ids=["rows_per_chunk", "slices_per_row"])
+def test_sample_writes_at_most_a_chunk_of_vertex_ids(monkeypatch, capsys, n):
+    # the cell budget of the draw also bounds each write of its text: under
+    # a budget of 64 cells a 10-vertex tree is drawn 3 rows a chunk and a
+    # 300-vertex one writes each row in 5 slices
+    args = ["sample", "--tree", random_tree(n, 5).head_vector(), "--z", "7", "--seed", "9"]
+    code, whole, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    monkeypatch.setattr(arrangement, "_CHUNK_CELLS", 64)
+    recorder = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(args) == EXIT_OK
+    ids = [len(text.split()) for text in recorder.writes]
+    assert max(ids) <= 64
+    if n < 64:
+        assert max(ids) > n  # the rows of a chunk share one write
+    else:
+        assert ids.count(64) == 7 * (n // 64)  # every row in full slices and a rest
+    assert "".join(recorder.writes) == whole
 
 
 # sha256 of outputs that depend on the sampler's whole stream: the keys
