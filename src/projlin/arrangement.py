@@ -16,7 +16,9 @@ and the rejection-free sampler below.
 
 The one draw loop, ``_segment_offsets``, yields each segment's offset
 inside its block, row by row: the sampler turns a row into positions, and
-the Monte Carlo kernel, ``_edge_sums``, needs only the offsets.  Both work
+the Monte Carlo kernel, ``_forest_totals``, needs only the offsets, from
+which it gathers every edge's length and sums them per tree with
+``tree._tree_sums``, the reducer the exact columns share.  Both work
 on a forest of trees laid end to end (``tree._forest``), a ``RootedTree``
 being the one-tree forest: the treebank pipeline draws a block of
 sentences at once, one draw-loop call per (block, z), and a tie in any
@@ -32,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded, OutOfRange, SizeMismatch, _integer, _iterable
-from .tree import RootedTree, _Forest, _generator, _reroot, _segment_lengths, tree_from_heads
+from .tree import RootedTree, _Forest, _generator, _reroot, _segment_lengths, _tree_sums, tree_from_heads
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -181,12 +183,15 @@ def _identity_projective(forest: RootedTree | _Forest) -> np.ndarray:
 
     The identity is projective exactly when it equals the projective
     arrangement that orders every block by label: v's own slot by v, each
-    child c's segment by c, a label inside it.  No two labels tie.
+    child c's segment by c, a label inside it.  No two labels tie.  A
+    tree's positions are a bijection onto its own range, so its root is in
+    place when all its other vertices are.
     """
-    labels = np.arange(1, forest.n + 1)
-    keys = np.concatenate((labels, np.flatnonzero(forest.parent_array)))[:, None]
+    kids = np.flatnonzero(forest.parent_array)
+    keys = np.concatenate((np.arange(1, forest.n + 1), kids))[:, None]
     offsets = _ordered_blocks(forest.blocks, _segment_lengths(forest), keys)
-    return np.logical_and.reduceat(_positions(forest, offsets.T)[0] == labels, forest.starts)
+    misplaced = _positions(forest, offsets.T)[0][kids - 1] != kids
+    return _tree_sums(forest, misplaced) == 0
 
 
 def is_planar(tree: RootedTree, arrangement: LinearArrangement) -> bool:
@@ -381,43 +386,26 @@ def _positions(forest: RootedTree | _Forest, offsets: np.ndarray) -> np.ndarray:
     return start[1:].T + offsets[:, :n]
 
 
-def _edge_sums(forest: RootedTree | _Forest, offsets: np.ndarray) -> np.ndarray:
-    """Total edge length of every tree of the forest in every row of offsets.
-
-    The Monte Carlo kernel: ``offsets`` is a chunk from
-    :func:`_segment_offsets` of the forest, and the result a (rows, trees)
-    int64 matrix.  Edge (p, c) has length |seg(c) + own(c) - own(p)|: c's
-    segment offset in block p, c's own offset in block c, p's in block p.
-    The lengths are gathered from the segment-major ``offsets.T``, whole
-    rows at a time, and stay int32; a tree's edges are one contiguous range
-    of them, summed in int64 by ``np.add.reduceat``.  A one-vertex tree has
-    none and sums to 0.
-    """
-    n = forest.n
-    parent = forest.parent_array
-    kids = np.flatnonzero(parent)
-    sums = np.zeros((len(offsets), forest.starts.size), dtype=np.int64)
-    if kids.size:
-        columns = offsets.T
-        lengths = columns[n:] + columns[kids - 1]
-        lengths -= columns[parent[kids] - 1]
-        np.abs(lengths, out=lengths)
-        has_edges = np.diff(forest.starts, append=n) > 1
-        first_edge = forest.starts - np.arange(forest.starts.size)
-        sums[:, has_edges] = np.add.reduceat(lengths, first_edge[has_edges], axis=0, dtype=np.int64).T
-    return sums
-
-
 def _forest_totals(forest: RootedTree | _Forest, z: int, rng: np.random.Generator) -> list[int]:
     """Every tree's edge-length sum over z draws of the whole forest.
 
-    The chunks' int64 column sums are added up as Python ints, so the
-    totals are exact however large z grows.
+    The Monte Carlo kernel.  Edge (p, c) has length |seg(c) + own(c) -
+    own(p)|: c's segment offset in block p, c's own offset in block c, p's
+    in block p.  Each chunk's lengths are gathered from the segment-major
+    ``offsets.T``, whole rows at a time, stay int32 and are summed per tree
+    by :func:`tree._tree_sums`; the chunks' sums are added up as Python
+    ints, so the totals are exact however large z grows.
     """
     totals = [0] * forest.starts.size
     for offsets in _segment_offsets(forest, z, rng):
-        chunk = _edge_sums(forest, offsets).sum(axis=0).tolist()
+        columns = offsets.T
+        kids = np.flatnonzero(forest.parent_array)
+        lengths = columns[forest.n :] + columns[kids - 1]
+        lengths -= columns[forest.parent_array[kids] - 1]
+        np.abs(lengths, out=lengths)
+        chunk = _tree_sums(forest, lengths).sum(axis=1).tolist()
         totals = [total + s for total, s in zip(totals, chunk)]
+        del kids, lengths  # hold no edge array while the next chunk is drawn
     return totals
 
 

@@ -8,6 +8,9 @@ distribution on projective arrangements, computable in O(n) as
     (1/6) * (-1 + sum over vertices v of n_v * (2 d_v + 1))
 
 where n_v is the size of the subtree rooted at v and d_v its out-degree.
+It is summed per edge, as the Monte Carlo kernel sums edge lengths
+(``tree._tree_sums``): edge (p, c) has expected length (n_c + 2 n_p + 1)/6,
+and over the edges the n_c add up to the sum of every n_v less n.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .arrangement import VARIANTS
 from .errors import OutOfRange, _integer
-from .tree import RootedTree, _check_class_args, _Forest
+from .tree import RootedTree, _check_class_args, _Forest, _tree_sums
 
 
 def expected_sum_unconstrained(n: int) -> Fraction:
@@ -46,11 +49,13 @@ def edge_length_probability(n: int, d: int) -> Fraction:
 
 
 def _closed_numerators(forest: RootedTree | _Forest) -> list[int]:
-    """-1 + sum over v of n_v (2 d_v + 1) for every tree of a forest (or the
-    one tree), tree i being the vertex range from ``starts[i] + 1``; the
-    int64 sums are exact below 2^63."""
-    terms = forest.size_array[1:] * (2 * forest.out_degree_array[1:] + 1)
-    return [total - 1 for total in np.add.reduceat(terms, forest.starts).tolist()]
+    """Six times each tree's expectation: the sum over its edges (p, c) of
+    n_c + 2 n_p + 1, exact in int64 below 2^63.  The terms are built in
+    place, so that at most three edge-length arrays are alive at once."""
+    kids = np.flatnonzero(forest.parent_array)
+    terms = 2 * forest.size_array[forest.parent_array[kids]] + 1
+    terms += forest.size_array[kids]
+    return _tree_sums(forest, terms).tolist()
 
 
 def expected_sum_projective(tree: RootedTree, variant: str = "standard") -> Fraction:

@@ -13,6 +13,7 @@ presentation of such error studies (mean, min, max, and a 99% band).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -96,7 +97,7 @@ def aggregate_errors(
     drawn in blocks of rows of about ``_BOOTSTRAP_CELLS`` cells, so memory
     stays bounded however many records share one size.  A negative seed,
     fewer than one resample, or a record that is not a pair of a positive
-    integer and a number raises OutOfRange.
+    integer and a finite number raises OutOfRange.
     """
     seed = _integer(seed, "seed", 0)
     resamples = _integer(resamples, "resamples", 1)
@@ -105,8 +106,10 @@ def aggregate_errors(
         try:
             n, err = record
             err = float(err)
+            if not math.isfinite(err):
+                raise ValueError
         except (TypeError, ValueError):
-            raise OutOfRange(f"records must hold (tree size, relative error) pairs, got {record!r}") from None
+            raise OutOfRange(f"records must hold (tree size, finite error) pairs, got {record!r}") from None
         grouped.setdefault(_integer(n, "a tree size in records", 1), []).append(err)
     if not grouped:
         raise OutOfRange("no error records to aggregate")

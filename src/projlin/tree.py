@@ -6,10 +6,13 @@ out-degree.  The parent array is the only form a tree takes: the tuple
 views that Python loops read (parents, ascending children lists,
 breadth-first order) and the block plan the projective sampler reads are
 built from the arrays on first use and cached.  The block layout lives
-here: ``_block_plan`` names the segments of every block and
-``_segment_lengths`` gives their lengths.  Vertex ids and arrangement
-positions share the same 1-based range, so head vectors and CoNLL-U token
-ids line up without translation.
+here: ``_block_plan`` names the segments of every block,
+``_segment_lengths`` gives their lengths, and ``_tree_sums`` sums a
+per-edge array (edge j joins the j-th non-root vertex to its parent) over
+each tree's edges, for the closed form, the observed sums and the Monte
+Carlo kernel alike.  Vertex ids and arrangement positions share the same
+1-based range, so head vectors and CoNLL-U token ids line up without
+translation.
 
 Every constructor ends in one core that validates a parent array and
 computes the subtree sizes by numpy pointer doubling: about log2(height)
@@ -268,6 +271,18 @@ def _segment_lengths(forest: RootedTree | _Forest) -> np.ndarray:
     """Every own slot has length 1, every child's segment its subtree size."""
     own = np.ones(forest.n, dtype=np.int32)
     return np.concatenate((own, forest.size_array[forest.parent_array != 0]), dtype=np.int32)
+
+
+def _tree_sums(forest: RootedTree | _Forest, per_edge: np.ndarray) -> np.ndarray:
+    """Every tree's sum of ``per_edge``, one int64 row per tree.  Axis 0
+    runs over the edges in ``kids`` order (edge j, from the j-th non-root
+    vertex up, is segment n + j); tree i's edges start at ``starts[i] - i``,
+    and a one-vertex tree has none."""
+    has_edges = np.diff(forest.starts, append=forest.n) > 1
+    sums = np.zeros((forest.starts.size, *per_edge.shape[1:]), dtype=np.int64)
+    first_edge = forest.starts[has_edges] - np.flatnonzero(has_edges)
+    sums[has_edges] = np.add.reduceat(per_edge, first_edge, axis=0, dtype=np.int64)
+    return sums
 
 
 def _doubling_kernel(n: int, parent: np.ndarray):

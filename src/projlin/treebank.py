@@ -10,16 +10,17 @@ annotation errors.
 
 The analysis step computes, per sentence, the observed edge-length sums
 under both definitions (in the identity arrangement the standard sum is
-the sum of |v - head(v)| over the parent array, and the minus-one sum is
-that less n - 1), whether that arrangement is projective, the exact
-projective expectation, the number of projective arrangements, and
+the sum of |v - head(v)| over the non-root vertices, and the minus-one
+sum is that less n - 1), whether that arrangement is projective, the
+exact projective expectation, the number of projective arrangements, and
 seeded Monte Carlo estimates with their relative errors for each
 requested sample count.
 
 Sentences are analyzed in blocks of ``_BLOCK_SENTENCES`` consecutive
 accepted ones, each laid out as one forest (``tree._forest``).  The exact
-columns are reduced from the forest's arrays over each sentence's vertex
-range, and the Monte Carlo columns come from one draw-loop call per
+columns are per-edge terms of the forest's arrays summed over each
+sentence's edges (``tree._tree_sums``), and the Monte Carlo columns, whose
+kernel sums edge lengths the same way, come from one draw-loop call per
 (block, z), seeded from the (block index, z index), so results do not
 depend on scheduling and the blocks can be spread over a process pool.
 """
@@ -38,7 +39,7 @@ from .arrangement import _forest_totals, _identity_projective, count_projective
 from .errors import OutOfRange, ProjlinError, _integer, _iterable
 from .expectation import _closed_numerators
 from .montecarlo import ErrorStats, aggregate_errors, relative_error
-from .tree import RootedTree, _forest, tree_from_heads
+from .tree import RootedTree, _forest, _tree_sums, tree_from_heads
 
 # Sentences drawn together as one forest.  On the benchmark's 200-sentence
 # corpus at z = 10, 100 and 1000, 8 to 32 timed alike and 16 best; larger
@@ -136,8 +137,16 @@ def parse_conllu(
     empty nodes (ids with '.') are dropped; heads come from column 7.
     With ``filter_punct`` set, tokens whose UPOS is PUNCT are removed and
     ids compacted; sentences whose remaining heads point at a removed
-    token are skipped with that reason.
+    token are skipped with that reason.  ``lines`` that is not iterable or
+    is one ``str`` or ``bytes`` raises OutOfRange at the call, a line that
+    is not a ``str`` when it is reached.
     """
+    if isinstance(lines, (str, bytes)):
+        raise OutOfRange("lines must be text lines, not one string: pass an open file or text.splitlines()")
+    return _parse_lines(_iterable(lines, "lines", "text lines"), filter_punct)
+
+
+def _parse_lines(lines: Iterable[str], filter_punct: bool) -> Iterator[TreebankSentence | SkipRecord]:
     tokens: list[tuple[int, str, int, str]] = []
     failure: str | None = None
     sent_id: str | None = None
@@ -145,6 +154,8 @@ def parse_conllu(
     count = 0
 
     for raw in lines:
+        if not isinstance(raw, str):
+            raise OutOfRange(f"lines must hold text lines, got {raw!r}")
         line = raw.rstrip("\r\n")
         if not line.strip():
             if seen_any:
@@ -192,13 +203,12 @@ def _analyze_block(
     payload: tuple[int, tuple[TreebankSentence, ...], tuple[int, ...], int]
 ) -> tuple[SentenceAnalysis, ...]:
     """The analyses of one block of sentences, drawn as one forest; the
-    exact columns are reduced over each sentence's vertex range."""
+    exact columns are sums of per-edge terms over each sentence's edges."""
     index, sentences, z_values, seed = payload
     forest = _forest([sentence.tree for sentence in sentences])
-    parent = forest.parent_array[1:]
+    kids = np.flatnonzero(forest.parent_array)
     exact = [Fraction(numerator, 6) for numerator in _closed_numerators(forest)]
-    spans = np.abs(np.arange(1, forest.n + 1) - parent) * (parent != 0)
-    observed = np.add.reduceat(spans, forest.starts).tolist()
+    observed = _tree_sums(forest, np.abs(kids - forest.parent_array[kids])).tolist()
     projective = _identity_projective(forest).tolist()
     estimates = []  # per z, one (z, estimate, relative error) per sentence
     for which, z in enumerate(z_values):
@@ -238,8 +248,9 @@ def analyze_treebank(
     sentences of its own block.  Error statistics exclude single-vertex
     sentences, whose exact expectation is zero.  A seed, ``jobs`` or z value
     that is not an integer, a negative seed, ``jobs`` or a z value below 1,
-    ``sentences`` or ``z_values`` not iterable, an empty ``z_values`` or a z
-    value given twice raises OutOfRange.
+    ``sentences`` or ``z_values`` not iterable, an item of ``sentences``
+    that is neither a sentence nor a skip record, an empty ``z_values`` or
+    a z value given twice raises OutOfRange.
     """
     seed = _integer(seed, "seed", 0)
     jobs = _integer(jobs, "jobs", 1)
@@ -253,8 +264,10 @@ def analyze_treebank(
     for item in _iterable(sentences, "sentences", "sentences and skip records"):
         if isinstance(item, SkipRecord):
             skips[item.reason] = skips.get(item.reason, 0) + 1
-        else:
+        elif isinstance(item, TreebankSentence):
             accepted.append(item)
+        else:
+            raise OutOfRange(f"sentences must hold sentences and skip records, got {item!r}")
 
     payloads = [
         (index, tuple(accepted[start : start + _BLOCK_SENTENCES]), z_values, seed)

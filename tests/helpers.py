@@ -180,6 +180,16 @@ def oracle_recurrence_expectation(tree, variant="standard"):
     return acc[tree.root]
 
 
+def oracle_vertex_numerator(tree):
+    """Six times the projective expectation in the paper's vertex form:
+    the sum over vertices v of n_v (2 d_v + 1), less 1, with subtree sizes
+    and out-degrees counted here, not read from the tree."""
+    size = [1] * (tree.n + 1)
+    for v in reversed(tree.order):
+        size[v] += sum(size[u] for u in tree.children[v])
+    return sum(size[v] * (2 * len(tree.children[v]) + 1) for v in range(1, tree.n + 1)) - 1
+
+
 def tree_from_pruefer(sequence, n, root):
     """Labeled tree decoded from a Pruefer sequence, rooted at ``root``."""
     degree = [1] * (n + 1)

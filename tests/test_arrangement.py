@@ -95,6 +95,15 @@ SEQUENCE_ARGUMENTS = {
     "forest_arguments_none": (lambda: list(combine_forests(None, None)), "part_sizes"),
     "forest_candidates_none": (lambda: list(combine_forests([1], [None])), "per_size_trees"),
     "forest_size_not_an_integer": (lambda: list(combine_forests(["1"], [[]])), "part_sizes"),
+    # checked at the call, before the first next()
+    "conllu_lines_not_iterable": (lambda: parse_conllu(5), "lines"),
+    "conllu_lines_one_str": (lambda: parse_conllu("1\tw\t_\tX\t_\t_\t0\t_\t_\t_\n"), "lines"),
+    "conllu_lines_one_bytes": (lambda: parse_conllu(b"1\tw\t_\tX\t_\t_\t0\t_\t_\t_\n"), "lines"),
+    "conllu_line_not_text": (lambda: list(parse_conllu([None])), "lines"),
+    "sentences_of_integers": (lambda: analyze_treebank([1, 2], [1]), "sentences"),
+    "sentences_one_str": (lambda: analyze_treebank("abc", [1]), "sentences"),
+    "record_error_infinite": (lambda: aggregate_errors([(3, float("inf"))]), "records"),
+    "record_error_nan": (lambda: aggregate_errors([(3, float("nan"))]), "records"),
 }
 
 

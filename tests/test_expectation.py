@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projlin import (
     OutOfRange,
@@ -14,12 +16,16 @@ from projlin import (
     class_formula,
     count_projective,
     edge_length_probability,
+    enumerate_projective,
+    enumerate_rooted_trees,
     expected_sum_projective,
     expected_sum_unconstrained,
     make_class,
     parse_head_vector,
     random_tree,
 )
+from projlin.expectation import _closed_numerators
+from projlin.tree import _forest
 from helpers import (
     all_labeled_rooted_trees,
     brute_mean_projective,
@@ -27,6 +33,7 @@ from helpers import (
     oracle_coanchor_length,
     oracle_recurrence_expectation,
     oracle_root_edge_length,
+    oracle_vertex_numerator,
 )
 
 
@@ -131,6 +138,38 @@ def test_brute_force_oracle_small_trees():
             mean = brute_mean_projective(t)
             assert mean == expected_sum_projective(t)
             assert mean == oracle_recurrence_expectation(t)
+
+
+def test_every_edge_has_its_closed_form_expected_length():
+    # edge (p, c) of every rooted tree with 2 <= n <= 8: its mean length
+    # over the projective arrangements is (n_c + 2 n_p + 1) / 6, the term
+    # the closed form sums per edge
+    edges = 0
+    for n in range(2, 9):
+        for tree in enumerate_rooted_trees(n):
+            kids = [c for c in range(1, n + 1) if tree.parent[c]]
+            totals = dict.fromkeys(kids, 0)
+            count = 0
+            for a in enumerate_projective(tree):
+                count += 1
+                for c in kids:
+                    totals[c] += abs(a.pos[c] - a.pos[tree.parent[c]])
+            size = tree.size_array.tolist()
+            for c in kids:
+                assert Fraction(totals[c], count) == Fraction(size[c] + 2 * size[tree.parent[c]] + 1, 6)
+            edges += len(kids)
+    assert edges == 1246
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.builds(random_tree, st.integers(1, 40), st.integers(0, 2**32 - 1)), min_size=1, max_size=20
+    )
+)
+def test_per_edge_sums_equal_the_vertex_form_tree_by_tree(trees):
+    # 1 to 20 uniform random trees of 1 to 40 vertices, laid end to end
+    assert _closed_numerators(_forest(trees)) == [oracle_vertex_numerator(t) for t in trees]
 
 
 def test_edge_decomposition_of_expectation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -144,28 +144,34 @@ def tree_lists(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(tree_lists(), st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([64, 10]))
+@example([random_tree(n, n) for n in (1, 7, 1, 12, 1)], 5, 3, 10)
 def test_forest_kernel_sums_each_tree_row_for_row(trees, z, seed, bits):
     # each tree's columns of the forest's offsets are a draw of that tree
-    # alone; 10-bit keys tie in about a third of the rows of a large forest
+    # alone; 10-bit keys tie in about a third of the rows of a large forest.
+    # A draw does not depend on how many rows are drawn with it, so z
+    # one-row calls of the kernel see the z rows of one z-row draw.
     forest = _forest(trees)
     offsets = np.concatenate(list(arrangement._segment_offsets(forest, z, NarrowKeys(seed, bits))))
-    sums = arrangement._edge_sums(forest, offsets)
-    assert sums.shape == (z, len(trees)) and sums.dtype == np.int64
+    draws = NarrowKeys(seed, bits)
+    sums = [arrangement._forest_totals(forest, 1, draws) for _ in range(z)]
+    assert all(len(row) == len(trees) and all(type(s) is int for s in row) for row in sums)
     for i, (tree, start) in enumerate(zip(trees, forest.starts.tolist())):
         own = offsets[:, start : start + tree.n]
         first_edge = forest.n + start - i  # each earlier tree has one root
         edges = offsets[:, first_edge : first_edge + tree.n - 1]
         positions = arrangement._positions(tree, np.concatenate((own, edges), axis=1))
         want = [sum_edge_lengths(tree, LinearArrangement._of_bijection(row)) for row in positions]
-        assert sums[:, i].tolist() == want
+        assert [row[i] for row in sums] == want
 
 
 def test_forest_totals_are_the_column_sums_of_the_kernel():
+    # one 500-row call adds up what 500 one-row calls on one stream give
     trees = [random_tree(n, n) for n in (1, 7, 1, 30, 2, 12)]
     forest = _forest(trees)
-    chunks = arrangement._segment_offsets(forest, 500, NarrowKeys(8, 10))
-    want = sum(arrangement._edge_sums(forest, offsets).sum(axis=0) for offsets in chunks)
-    assert arrangement._forest_totals(forest, 500, NarrowKeys(8, 10)) == want.tolist()
+    draws = NarrowKeys(8, 10)
+    rows = [arrangement._forest_totals(forest, 1, draws) for _ in range(500)]
+    want = [sum(column) for column in zip(*rows)]
+    assert arrangement._forest_totals(forest, 500, NarrowKeys(8, 10)) == want
 
 
 def test_estimate_converges_on_random_trees():

@@ -399,6 +399,15 @@ LEAF_ROOTED_STAR = parse_head_vector("6 1 1 1 1 0 1 1 1 1 1 1")
 @example([(random_tree(1, 0), 0, False)] * 5)
 @example(
     [
+        (random_tree(1, 0), 0, False),
+        (random_tree(7, 7), 7, True),
+        (random_tree(1, 0), 0, False),
+        (random_tree(12, 12), 12, False),
+        (random_tree(1, 0), 0, False),
+    ]
+)
+@example(
+    [
         (make_class("star_hub", 12), 7, True),
         (make_class("star_hub", 12), 7, False),
         (LEAF_ROOTED_STAR, 7, True),
