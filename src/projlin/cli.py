@@ -28,7 +28,7 @@ from . import arrangement as arr
 from . import expectation as expe
 from . import extrema
 from . import treebank
-from ._digits import exact_str
+from ._digits import _decimal_rows, exact_str
 from .errors import CapExceeded, OutOfRange, ProjlinError, UnreadableInput, UnwritableOutput, _integer
 from .montecarlo import estimate_expected_sum
 from .tree import TREE_CLASSES, canonical_code, make_class, parse_head_vector
@@ -142,20 +142,19 @@ def _cmd_sample(args) -> int:
         estimate = estimate_expected_sum(tree, z, seed)
         print(repr(estimate.mean))
         return EXIT_OK
-    vertices = np.arange(1, tree.n + 1)
+    vertices = np.arange(1, tree.n + 1, dtype=np.int32)
     for offsets in arr._segment_offsets(tree, z, np.random.default_rng(seed)):
         positions = arr._positions(tree, offsets)
-        rows = np.empty_like(positions)  # row r: draw r's vertices by position
-        np.put_along_axis(rows, positions - 1, vertices, axis=1)
+        positions -= 1
+        rows = np.empty(positions.shape, dtype=np.int32)  # row r: draw r's vertices by position
+        np.put_along_axis(rows, positions, vertices, axis=1)
         del positions
         # The text of a chunk goes out in column slices of at most
         # _CHUNK_CELLS vertex ids.  A chunk of several rows is narrower
         # than that, so it is one slice; a wider row is alone in its chunk.
         for start in range(0, tree.n, arr._CHUNK_CELLS):
-            piece = rows[:, start : start + arr._CHUNK_CELLS]
-            text = "\n".join(" ".join(map(str, row.tolist())) for row in piece)
-            sys.stdout.write(" " + text if start else text)
-        sys.stdout.write("\n")
+            stop = start + arr._CHUNK_CELLS
+            sys.stdout.write(_decimal_rows(rows[:, start:stop], "\n" if stop >= tree.n else " "))
     return EXIT_OK
 
 

@@ -384,7 +384,7 @@ def tree_from_heads(heads: Sequence[int]) -> RootedTree:
     head = np.asarray(heads)
     if head.ndim != 1 or (head.size and head.dtype.kind not in "iu"):
         raise OutOfRange("a head vector is a flat sequence of integers within 0..n")
-    head = head.astype(np.int64)
+    head = head.astype(np.int64, copy=False)
     n = head.size
     zeros = np.flatnonzero(head == 0)
     if zeros.size != 1:

@@ -409,6 +409,12 @@ def oracle_segment_offsets(tree, z, rng):
     return kids, out
 
 
+def oracle_decimal_rows(rows, end):
+    """The text of ``projlin sample``: each row's ids in decimal, separated
+    by " ", and the row followed by ``end``."""
+    return "".join(" ".join(map(str, row)) + end for row in rows)
+
+
 class NarrowKeys(np.random.Generator):
     """A PCG64 generator whose ``integers`` keeps only the top bits.
 

@@ -12,15 +12,17 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import projlin
 import projlin.errors
 from projlin import TREE_CLASSES, arrangement, make_class, random_tree, sample_projective
+from projlin._digits import _decimal_rows
 from projlin.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, format_rational, main
 from fractions import Fraction
-from helpers import caterpillar, random_tree_corpus
+from helpers import caterpillar, oracle_decimal_rows, random_tree_corpus
 
 
 def run(capsys, *argv):
@@ -131,10 +133,12 @@ def test_sample_prints_successive_sampler_draws(monkeypatch, capsys, chunk_cells
     # the rows of sample --z are what z sample_projective calls on
     # default_rng(seed) draw, on blocks below and past the pairwise cut-off;
     # chunks of 4 rows each, or a budget below n that writes every row in
-    # several slices
+    # several slices, whose ids may differ in width: n crosses 9/10,
+    # 99/100 and 999/1000
     rng = np.random.default_rng(808)
     trees = [random_tree(int(rng.integers(2, 40)), rng) for _ in range(6)]
     trees += [make_class("star_hub", 13), caterpillar(4, 9)]
+    trees += [random_tree(n, n) for n in (10, 100, 1000)]
     for tree in trees:
         z = int(rng.integers(1, 15))
         seed = int(rng.integers(2**32))
@@ -145,7 +149,30 @@ def test_sample_prints_successive_sampler_draws(monkeypatch, capsys, chunk_cells
         draws = np.random.default_rng(seed)
         rows = [sample_projective(tree, draws).inverse[1:] for _ in range(z)]
         assert code == EXIT_OK
-        assert out == "".join(" ".join(map(str, row)) + "\n" for row in rows), (tree, z)
+        assert out == oracle_decimal_rows(rows, "\n"), (tree, z)
+
+
+# ids around every power of ten that int32 holds, whose quotients by the
+# lower powers pass 255: a kernel whose quotients wrap in uint8 prints
+# 16668 for 16622
+_DECIMAL_IDS = st.one_of(
+    st.integers(0, 9).flatmap(lambda k: st.integers(max(0, 10**k - 3), 10**k + 2)),
+    st.integers(2**31 - 3, 2**31 - 1),
+    st.integers(0, 2**31 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([np.int32, np.int64]).flatmap(
+        lambda dtype: arrays(dtype, st.tuples(st.integers(1, 5), st.integers(1, 40)), elements=_DECIMAL_IDS)
+    ),
+    st.sampled_from([" ", "\n"]),
+)
+@example(np.array([[16622]], dtype=np.int32), "\n")
+@example(np.array([[0, 9, 10, 99, 100, 2**31 - 1], [1, 999, 1000, 9999, 10**9, 0]], dtype=np.int32), " ")
+def test_decimal_rows_equal_the_join_of_strs(ids, end):
+    assert _decimal_rows(ids, end) == oracle_decimal_rows(ids.tolist(), end)
 
 
 class _WriteRecorder:
