@@ -14,20 +14,32 @@ projective arrangement exactly once.  That bijection drives the counting
 formula (the product of (d_v + 1)! over vertices), the enumeration order,
 and the rejection-free sampler below.
 
-The one draw loop, ``_segment_offsets``, yields each segment's offset
-inside its block, row by row: the sampler turns a row into positions, and
-the Monte Carlo kernel, ``_forest_totals``, needs only the offsets, from
-which it gathers every edge's length and sums them per tree with
-``tree._tree_sums``, the reducer the exact columns share.  Both work
-on a forest of trees laid end to end (``tree._forest``), a ``RootedTree``
-being the one-tree forest: the treebank pipeline draws a block of
-sentences at once, one draw-loop call per (block, z), and a tie in any
-tree redraws the row for every tree of the block.
+Every path from block orders to positions goes through two kernels over
+whole row matrices: ``_ordered_blocks`` turns per-segment keys into each
+segment's offset inside its block, and ``_positions`` turns offsets into
+positions.  Three callers give the keys:
+
+* the one draw loop, ``_segment_offsets``, draws them at random, row by
+  row: the sampler turns a row into positions, and the Monte Carlo
+  kernel, ``_forest_totals``, needs only the offsets, from which it
+  gathers every edge's length;
+* the enumerator, ``_projective_positions``, reads row r's block orders
+  off the mixed-radix digits of r, as ranks in permutations;
+* the one projectivity test, ``_projective_rows``, keys each block by the
+  positions of a row under test, and the row is projective exactly when
+  the kernels give it back.  ``is_projective``, ``is_planar`` (through
+  it), the treebank's identity flags and ``projlin selfcheck`` all call it.
+
+Per-tree sums of per-edge terms (edge lengths, misplaced vertices) go
+through ``tree._tree_sums``, the reducer the exact columns share.  The
+kernels work on a forest of trees laid end to end (``tree._forest``), a
+``RootedTree`` being the one-tree forest: the treebank pipeline draws a
+block of sentences at once, one draw-loop call per (block, z), and a tie
+in any tree redraws the row for every tree of the block.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -49,6 +61,11 @@ _PAIRWISE_MAX_SEGMENTS = 8
 # its temporaries stay in the L2 cache for any tree or forest size; a row
 # wider than that is drawn alone.
 _CHUNK_CELLS = 65_536
+
+# Rows per chunk of enumerated arrangements, and the clamp of the
+# enumerator's place values and factorials.
+_ENUMERATION_ROWS = 1024
+_CLAMP = 2**62
 
 
 class LinearArrangement:
@@ -123,6 +140,8 @@ def _bijection(values: Sequence[int], what: str) -> tuple[tuple[int, ...], tuple
 
 
 def _check_same_size(tree: RootedTree, arrangement: LinearArrangement) -> None:
+    if not isinstance(arrangement, LinearArrangement):
+        raise OutOfRange(f"arrangement must be a LinearArrangement, got {type(arrangement).__name__}")
     if arrangement.n != tree.n:
         raise SizeMismatch(
             f"arrangement covers {arrangement.n} positions, tree has {tree.n} vertices"
@@ -136,62 +155,65 @@ def sum_edge_lengths(
 
     ``standard`` sums |pos(u) - pos(v)| over the edges; ``minus_one``
     counts only the vertices strictly between the endpoints, i.e. the
-    standard sum minus (n - 1).
+    standard sum minus (n - 1).  The one-row call of
+    :func:`_edge_length_sums`.
     """
     if variant not in VARIANTS:
         raise OutOfRange(f"unknown variant {variant!r}")
     _check_same_size(tree, arrangement)
-    pos = arrangement.pos
-    parent = tree.parent
-    total = 0
-    for v in tree.order[1:]:
-        total += abs(pos[v] - pos[parent[v]])
+    total = int(_edge_length_sums(tree, np.array([arrangement.pos[1:]]))[0, 0])
     if variant == "minus_one":
         total -= tree.n - 1
     return total
 
 
+def _edge_length_sums(forest: RootedTree | _Forest, positions: np.ndarray) -> np.ndarray:
+    """Every tree's sum of |pos(c) - pos(p)| over its edges (p, c), for each
+    row of positions, (rows, n): a (trees, rows) int64 array, summed by
+    :func:`tree._tree_sums`."""
+    kids = np.flatnonzero(forest.parent_array)
+    columns = positions.T
+    lengths = columns[kids - 1] - columns[forest.parent_array[kids] - 1]
+    return _tree_sums(forest, np.abs(lengths, out=lengths))
+
+
 def is_projective(tree: RootedTree, arrangement: LinearArrangement) -> bool:
     """True when every subtree occupies consecutive positions.
 
-    Runs in O(n): the position span of each subtree is accumulated bottom
-    up and compared with the stored subtree size.  This interval criterion
-    is equivalent to having no edge crossings plus an uncovered root.
+    The one-row call of :func:`_projective_rows`, O(n).  Contiguous
+    subtrees are equivalent to having no edge crossings plus an uncovered
+    root.
     """
     _check_same_size(tree, arrangement)
-    n = tree.n
-    pos = arrangement.pos
-    parent = tree.parent
-    size = tree.size_array.tolist()
-    lo = list(pos)
-    hi = list(pos)
-    for v in reversed(tree.order):
-        p = parent[v]
-        if lo[v] < lo[p]:
-            lo[p] = lo[v]
-        if hi[v] > hi[p]:
-            hi[p] = hi[v]
-    for v in range(1, n + 1):
-        if hi[v] - lo[v] + 1 != size[v]:
-            return False
-    return True
+    return bool(_projective_rows(tree, np.array([arrangement.pos[1:]]))[0, 0])
+
+
+def _projective_rows(forest: RootedTree | _Forest, positions: np.ndarray) -> np.ndarray:
+    """Whether each tree is projective in each row of positions, (rows, n):
+    a (trees, rows) bool array.  Tree i's positions in a row must be a
+    bijection onto its own range, ``starts[i] + 1`` onward.
+
+    A row is projective exactly when it equals the :func:`_positions` of
+    the blocks ordered by its own positions: v's own slot by pos(v), each
+    child c's segment by pos(c).  In a projective row the segments of a
+    block are disjoint intervals, so any vertex of one places it; no two
+    keys tie.  The rebuilt row is a bijection onto the same range, so a
+    tree's root is in place when all its other vertices are, and the
+    misplaced non-root vertices are counted per tree by
+    :func:`tree._tree_sums`.
+    """
+    kids = np.flatnonzero(forest.parent_array)
+    columns = positions.T
+    keys = np.concatenate((columns, columns[kids - 1]))
+    offsets = _ordered_blocks(forest.blocks, _segment_lengths(forest), keys)
+    misplaced = (_positions(forest, offsets.T) != positions).T[kids - 1]
+    return _tree_sums(forest, misplaced) == 0
 
 
 def _identity_projective(forest: RootedTree | _Forest) -> np.ndarray:
     """Whether each tree's identity arrangement is projective, as a bool
-    array; :func:`is_projective` is the oracle.
-
-    The identity is projective exactly when it equals the projective
-    arrangement that orders every block by label: v's own slot by v, each
-    child c's segment by c, a label inside it.  No two labels tie.  A
-    tree's positions are a bijection onto its own range, so its root is in
-    place when all its other vertices are.
-    """
-    kids = np.flatnonzero(forest.parent_array)
-    keys = np.concatenate((np.arange(1, forest.n + 1), kids))[:, None]
-    offsets = _ordered_blocks(forest.blocks, _segment_lengths(forest), keys)
-    misplaced = _positions(forest, offsets.T)[0][kids - 1] != kids
-    return _tree_sums(forest, misplaced) == 0
+    array: :func:`_projective_rows` on the identity row."""
+    return _projective_rows(forest, np.arange(1, forest.n + 1)[None])[:, 0]
 
 
 def is_planar(tree: RootedTree, arrangement: LinearArrangement) -> bool:
@@ -230,16 +252,44 @@ def enumerate_projective(
     through the owners depth first over ascending children, the root's
     slowest and the last owner's fastest.  Each digit visits its block's
     orders lexicographically, with the vertex's own slot first, so the
-    first arrangement lays out the tree depth first.  A vertex order is
-    read off the block orders, with its positions, in one stack pass.
-    Raises CapExceeded when the count is above ``cap`` (it grows
-    factorially with the degrees), and OutOfRange for a ``cap`` that is
-    not a non-negative integer, both at the call, not the first ``next()``.
+    first arrangement lays out the tree depth first.  The rows of
+    :func:`_projective_positions`, wrapped one by one.  Raises
+    CapExceeded when the count is above ``cap`` (it grows factorially
+    with the degrees), and OutOfRange for a ``cap`` that is not a
+    non-negative integer, both at the call, not the first ``next()``.
+    """
+    chunks = _projective_positions(tree, cap)
+    return (
+        LinearArrangement._trusted((0, *pos), (0, *inverse))
+        for positions in chunks
+        for pos, inverse in zip(positions.tolist(), _vertex_rows(positions).tolist())
+    )
+
+
+def _projective_positions(tree: RootedTree, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[np.ndarray]:
+    """The positions of every projective arrangement, in the order of
+    :func:`enumerate_projective`, as (rows, n) int64 chunks of up to
+    ``_ENUMERATION_ROWS`` rows; the cap is checked at the call.
+
+    Row r's block orders are the mixed-radix digits of r, one per owner,
+    of radix k! for a block of k segments.  Digit d of a block gives each
+    segment a key, its rank in the d-th permutation of (own slot,
+    ascending children); the keys go through :func:`_ordered_blocks` and
+    :func:`_positions`, and never tie.  A chunk's rows are consecutive, so
+    an owner's digits in it are a run of consecutive quotients of the row
+    by its place value, and only that run is decoded, at most one radix of
+    it.  Values past ``_CLAMP`` are clamped: a row below it divides and
+    reduces alike, and no enumeration reaches the rows past it.
     """
     cap = _integer(cap, "cap", 0)
     total = count_projective(tree)
     if total > cap:
         raise CapExceeded(f"{total} projective arrangements exceed the cap of {cap}")
+    return _position_chunks(tree)
+
+
+def _position_chunks(tree: RootedTree) -> Iterator[np.ndarray]:
+    """The generator of :func:`_projective_positions`, behind its cap check."""
     children = tree.children
     owners, pending = [], [tree.root]  # the vertices with children, depth first
     while pending:
@@ -247,28 +297,58 @@ def enumerate_projective(
         if children[v]:
             owners.append(v)
             pending.extend(reversed(children[v]))
-    block_order: dict[int, tuple[int, ...]] = {}
-    pos = [0] * (tree.n + 1)  # every pass lays down, and so places, every vertex
+    place = np.ones(tree.n + 1, dtype=np.int64)  # the product of the radices of later owners
+    rows = 1
+    for v in reversed(owners):
+        place[v] = min(rows, _CLAMP)
+        rows *= math.factorial(len(children[v]) + 1)
+    length = _segment_lengths(tree)
+    dtype = np.min_scalar_type(max((segments.shape[1] for segments in tree.blocks), default=1))
+    for first in range(0, rows, _ENUMERATION_ROWS):
+        row = np.arange(first, min(first + _ENUMERATION_ROWS, rows), dtype=np.int64)
+        keys = np.zeros((length.size, row.size), dtype=dtype)
+        for segments in tree.blocks:
+            k = segments.shape[1]
+            radix = min(math.factorial(k), _CLAMP)
+            quotient = row // place[segments[:, 0] + 1, None]  # (blocks, rows)
+            low = quotient[:, 0]
+            used = np.minimum(quotient[:, -1] - low + 1, radix)
+            start = np.cumsum(used) - used
+            digits = np.arange(start[-1] + used[-1]) + np.repeat(low - start, used)
+            ranks = _permutation_ranks(digits % radix, k, dtype)
+            ranks = ranks[(quotient - low[:, None]) % radix + start[:, None]]  # (blocks, rows, k)
+            keys[segments[:, 0]] = ranks[:, :, 0]
+            # the plan may list a block's children in any order; segment
+            # n + j belongs to the j-th non-root vertex, so sorted segment
+            # ids are the ascending children
+            keys[np.sort(segments[:, 1:], axis=1)] = ranks[:, :, 1:].transpose(0, 2, 1)
+        yield _positions(tree, _ordered_blocks(tree.blocks, length, keys).T)
 
-    def odometer(i: int) -> Iterator[LinearArrangement]:
-        if i < len(owners):
-            v = owners[i]
-            for block_order[v] in itertools.permutations((v,) + children[v]):
-                yield from odometer(i + 1)
-            return
-        # an owner's subtree opens into its block, where its own slot is
-        # pushed negated; a leaf or a negated slot is laid down
-        sequence, stack = [0], [tree.root]
-        while stack:
-            v = stack.pop()
-            if v in block_order:
-                stack.extend(-u if u == v else u for u in reversed(block_order[v]))
-            else:
-                pos[abs(v)] = len(sequence)
-                sequence.append(abs(v))
-        yield LinearArrangement._trusted(tuple(pos), tuple(sequence))
 
-    return odometer(0)
+def _permutation_ranks(digits: np.ndarray, k: int, dtype) -> np.ndarray:
+    """Row i: the rank of each of k items in the ``digits[i]``-th
+    permutation of them, in ``itertools.permutations`` order.
+
+    The digit's Lehmer code holds, at each place, the index of the item
+    placed there among the items not placed before it.  Taken from the
+    last place back, an index grows by one past each earlier index at or
+    below it, which turns the code into the items themselves.
+    """
+    weights = [min(math.factorial(k - 1 - i), _CLAMP) for i in range(k)]
+    items = digits[:, None] // np.array(weights) % np.arange(k, 0, -1)
+    for i in range(k - 2, -1, -1):
+        items[:, i + 1 :] += items[:, i + 1 :] >= items[:, i : i + 1]
+    ranks = np.empty(items.shape, dtype=dtype)
+    np.put_along_axis(ranks, items, np.arange(k, dtype=dtype), axis=1)
+    return ranks
+
+
+def _vertex_rows(positions: np.ndarray) -> np.ndarray:
+    """The vertices of each row of positions, (rows, n), in position order:
+    each row's inverse, as an int32 view."""
+    rows = np.empty((positions.shape[0], positions.shape[1] + 1), dtype=np.int32)
+    np.put_along_axis(rows, positions, np.arange(1, positions.shape[1] + 1, dtype=np.int32), axis=1)
+    return rows[:, 1:]
 
 
 def _segment_offsets(

@@ -127,10 +127,28 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _write_arrangements(positions: np.ndarray) -> None:
+    """Write each row of positions, (rows, n), as its vertex ids in position
+    order, one line per row: ``arrangement._vertex_rows`` through
+    ``_decimal_rows``.
+
+    The text of a chunk goes out in column slices of at most
+    ``_CHUNK_CELLS`` vertex ids.  A chunk of several rows is narrower than
+    that, so it is one slice; a wider row is alone in its chunk.  Pass the
+    positions as a temporary: no array of them is alive while the text is
+    built.
+    """
+    rows = arr._vertex_rows(positions)
+    del positions
+    n = rows.shape[1]
+    for start in range(0, n, arr._CHUNK_CELLS):
+        stop = start + arr._CHUNK_CELLS
+        sys.stdout.write(_decimal_rows(rows[:, start:stop], "\n" if stop >= n else " "))
+
+
 def _cmd_enumerate(args) -> int:
-    tree = _tree_from_args(args)
-    for arrangement in arr.enumerate_projective(tree, cap=args.cap):
-        print(" ".join(str(v) for v in arrangement.inverse[1:]))
+    for positions in arr._projective_positions(_tree_from_args(args), args.cap):
+        _write_arrangements(positions)
     return EXIT_OK
 
 
@@ -142,19 +160,8 @@ def _cmd_sample(args) -> int:
         estimate = estimate_expected_sum(tree, z, seed)
         print(repr(estimate.mean))
         return EXIT_OK
-    vertices = np.arange(1, tree.n + 1, dtype=np.int32)
     for offsets in arr._segment_offsets(tree, z, np.random.default_rng(seed)):
-        positions = arr._positions(tree, offsets)
-        positions -= 1
-        rows = np.empty(positions.shape, dtype=np.int32)  # row r: draw r's vertices by position
-        np.put_along_axis(rows, positions, vertices, axis=1)
-        del positions
-        # The text of a chunk goes out in column slices of at most
-        # _CHUNK_CELLS vertex ids.  A chunk of several rows is narrower
-        # than that, so it is one slice; a wider row is alone in its chunk.
-        for start in range(0, tree.n, arr._CHUNK_CELLS):
-            stop = start + arr._CHUNK_CELLS
-            sys.stdout.write(_decimal_rows(rows[:, start:stop], "\n" if stop >= tree.n else " "))
+        _write_arrangements(arr._positions(tree, offsets))
     return EXIT_OK
 
 
@@ -226,28 +233,29 @@ def _cmd_selfcheck(args) -> int:
     memo: extrema.MemoTable = {}
     for n in range(1, args.max_n + 1):
         trees = list(extrema.enumerate_rooted_trees(n))
-        if n <= 6:
-            perms = itertools.permutations(range(1, n + 1))
-            every_arrangement = [arr.LinearArrangement(p) for p in perms]
+        if n <= 6:  # every arrangement of n vertices, one row of positions each
+            every_arrangement = np.array(list(itertools.permutations(range(1, n + 1))))
         count_ok = True
         mean_ok = True
         projective_ok = True
         bruteforce_ok = True
         values = []
         for tree in trees:
-            enumerated = list(arr.enumerate_projective(tree))
-            if len(enumerated) != arr.count_projective(tree):
+            rows = total = projective = 0
+            for positions in arr._projective_positions(tree):
+                rows += len(positions)
+                total += int(arr._edge_length_sums(tree, positions).sum())
+                projective += int(np.count_nonzero(arr._projective_rows(tree, positions)))
+            if rows != arr.count_projective(tree):
                 count_ok = False
-            if not all(arr.is_projective(tree, a) for a in enumerated):
+            if projective != rows:
                 projective_ok = False
-            total = sum(arr.sum_edge_lengths(tree, a) for a in enumerated)
-            exact = Fraction(total, len(enumerated))
             closed = expe.expected_sum_projective(tree)
-            if exact != closed:
+            if Fraction(total, rows) != closed:
                 mean_ok = False
             if n <= 6:
-                brute = sum(arr.is_projective(tree, a) for a in every_arrangement)
-                if brute != len(enumerated):
+                brute = np.count_nonzero(arr._projective_rows(tree, every_arrangement))
+                if brute != rows:
                     bruteforce_ok = False
             values.append(closed)
 

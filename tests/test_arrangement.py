@@ -42,7 +42,7 @@ from projlin import (
 )
 from projlin import arrangement
 from projlin.cli import format_rational
-from projlin.tree import _forest
+from projlin.tree import _forest, tree_from_heads
 from helpers import (
     NarrowKeys,
     all_arrangements,
@@ -104,6 +104,10 @@ SEQUENCE_ARGUMENTS = {
     "sentences_one_str": (lambda: analyze_treebank("abc", [1]), "sentences"),
     "record_error_infinite": (lambda: aggregate_errors([(3, float("inf"))]), "records"),
     "record_error_nan": (lambda: aggregate_errors([(3, float("nan"))]), "records"),
+    # an arrangement given as a plain list of positions
+    "sum_arrangement_a_list": (lambda: sum_edge_lengths(CHAIN3, [1, 2, 3]), "arrangement"),
+    "projective_arrangement_a_list": (lambda: is_projective(CHAIN3, [1, 2, 3]), "arrangement"),
+    "planar_arrangement_a_list": (lambda: is_planar(CHAIN3, (1, 2, 3)), "arrangement"),
 }
 
 
@@ -371,6 +375,41 @@ def test_planarity_random_trees_against_oracle():
             assert planar == oracle_is_planar(t, a)
             outcomes.add(planar)
     assert outcomes == {True, False}
+
+
+def _relabeled(tree, arrangement):
+    """The tree with each vertex v renamed to its position in the arrangement,
+    in which the identity is the arrangement."""
+    heads = [0] * tree.n
+    for v in range(1, tree.n + 1):
+        parent = tree.parent[v]
+        heads[arrangement.pos[v] - 1] = arrangement.pos[parent] if parent else 0
+    return tree_from_heads(heads)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_projectivity_and_sums_equal_the_oracles_on_random_trees(shapes, seed):
+    # random permutations are mostly crossing, projective samples never,
+    # and a projective sample with two vertices swapped is either; the
+    # identity of a tree relabeled by a projective sample is projective
+    rng = np.random.default_rng(seed)
+    trees = []
+    for n, tree_seed in shapes:
+        tree = random_tree(n, tree_seed)
+        projective = sample_projective(tree, rng)
+        swapped = list(projective.pos[1:])
+        i, j = rng.integers(0, n, size=2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        for a in (LinearArrangement((rng.permutation(n) + 1).tolist()), projective, LinearArrangement(swapped)):
+            assert is_projective(tree, a) == oracle_is_projective(tree, a), (tree, a)
+            assert sum_edge_lengths(tree, a) == oracle_edge_sum(tree, a), (tree, a)
+        trees.append(_relabeled(tree, projective) if rng.integers(2) else tree)
+    flags = arrangement._identity_projective(_forest(trees)).tolist()
+    assert flags == [oracle_is_projective(t, LinearArrangement.identity(t.n)) for t in trees]
 
 
 def test_count_projective_examples():

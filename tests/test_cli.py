@@ -349,6 +349,34 @@ def test_selfcheck_small(capsys):
     assert "FAIL" not in out
 
 
+def test_selfcheck_output_is_pinned(capsys):
+    # the whole text of the largest size the CLI accepts, every line "ok: "
+    code, out, _ = run(capsys, "selfcheck", "--max-n", "8")
+    assert code == EXIT_OK and out.endswith("selfcheck: all checks passed\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8191d3df87333b2760dad673626dc585b274f8832ba926b3076e3517c74b9a36"
+    )
+
+
+@pytest.mark.parametrize(
+    "module, name, label",
+    [
+        (arrangement, "count_projective", "enumeration length equals the degree-factorial product"),
+        (projlin.expectation, "expected_sum_projective", "enumeration mean equals the closed form"),
+    ],
+    ids=["count", "closed_form"],
+)
+def test_selfcheck_fails_when_a_checked_value_is_off_by_one(monkeypatch, capsys, module, name, label):
+    # the array checks see a value one off at every size
+    exact = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda tree: exact(tree) + 1)
+    code, out, _ = run(capsys, "selfcheck", "--max-n", "3")
+    assert code == EXIT_VALIDATION
+    for n in (1, 2, 3):
+        assert f"FAIL: n={n}: {label}\n" in out
+    assert out.endswith("checks failed\n")
+
+
 def _all_digits(text):
     """Parse a decimal integer of any length (the 4,300-digit limit lifted)."""
     previous = sys.get_int_max_str_digits()
