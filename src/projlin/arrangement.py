@@ -268,7 +268,7 @@ def enumerate_projective(
 
 def _projective_positions(tree: RootedTree, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[np.ndarray]:
     """The positions of every projective arrangement, in the order of
-    :func:`enumerate_projective`, as (rows, n) int64 chunks of up to
+    :func:`enumerate_projective`, as (rows, n) int32 chunks of up to
     ``_ENUMERATION_ROWS`` rows; the cap is checked at the call.
 
     Row r's block orders are the mixed-radix digits of r, one per owner,
@@ -380,11 +380,12 @@ def _segment_offsets(
     tree's draw with it; the kept rows are still the first z tie-free ones,
     so each tree's draws stay exactly uniform and independent.
     """
+    blocks = tree.blocks  # a tree's plan is built here, before any key is drawn
     length = _segment_lengths(tree)
     chunk = max(1, _CHUNK_CELLS // length.size)
     while z:
         keys = rng.integers(0, 2**64, size=(min(z, chunk), length.size), dtype=np.uint64)
-        offsets = _ordered_blocks(tree.blocks, length, np.ascontiguousarray(keys.T))
+        offsets = _ordered_blocks(blocks, length, np.ascontiguousarray(keys.T))
         del keys  # only the offsets stay alive while the caller uses the chunk
         if offsets.shape[1]:
             z -= offsets.shape[1]
@@ -403,44 +404,51 @@ def _ordered_blocks(
     together, from the plan in ``tree.blocks``: a leaf's block needs
     nothing (offset 0), two segments one comparison, up to
     ``_PAIRWISE_MAX_SEGMENTS`` segments a comparison of every pair, and
-    larger blocks a sort of their own columns.  Each group is checked for
-    equal keys at once, by the same comparisons; only a group where that
-    check fires is searched for the tied rows to drop.
+    larger blocks a sort of their own columns.  A group is taken in slices
+    of at most ``_CHUNK_CELLS`` key cells (at least one block each), so its
+    gathers stay within the chunk budget however many blocks share a size;
+    a forest drawn several rows at a time has every group in one slice.
+    Each slice is checked for equal keys at once, by the same comparisons;
+    only a slice where that check fires is searched for the tied rows to
+    drop.
     """
     out = np.zeros(keys.shape, dtype=np.int32)
     tied = None
-    for segments in blocks:
-        key = keys[segments]  # (blocks, segments per block, z)
-        k = segments.shape[1]
-        if k == 2:
-            # the vertex's own slot (length 1) and its one child's subtree
-            own, child = segments.T
-            own_later = key[:, 0] > key[:, 1]
-            out[own] = own_later * length[child, None]
-            out[child] = ~own_later
-            tie = np.count_nonzero(key[:, 0] == key[:, 1])
-        else:
-            lengths = length[segments]
-            if k <= _PAIRWISE_MAX_SEGMENTS:
-                # earlier[:, i, j]: segment j precedes segment i in its
-                # block; without ties, one of every pair does
-                earlier = key[:, None] < key[:, :, None]
-                offset = np.einsum("bijz,bj->biz", earlier, lengths)
-                tie = np.count_nonzero(earlier) != key.size * (k - 1) // 2
+    for group in blocks:
+        k = group.shape[1]
+        step = max(1, _CHUNK_CELLS // (k * keys.shape[1]))
+        for first in range(0, len(group), step):
+            segments = group[first : first + step]
+            key = keys[segments]  # (blocks, segments per block, z)
+            if k == 2:
+                # the vertex's own slot (length 1) and its one child's subtree
+                own, child = segments.T
+                own_later = key[:, 0] > key[:, 1]
+                out[own] = own_later * length[child, None]
+                out[child] = ~own_later
+                tie = np.count_nonzero(key[:, 0] == key[:, 1])
             else:
-                order = np.argsort(key, axis=1)
-                ranked = np.take_along_axis(key, order, axis=1)
-                tie = np.count_nonzero(ranked[:, 1:] == ranked[:, :-1])
-                placed = np.take_along_axis(np.broadcast_to(lengths[..., None], key.shape), order, axis=1)
-                before = np.cumsum(placed, axis=1, dtype=np.int32)
-                before -= placed
-                offset = np.empty_like(before)
-                np.put_along_axis(offset, order, before, axis=1)
-            out[segments] = offset
-        if tie:
-            ranked = np.sort(key, axis=1)
-            rows = (ranked[:, 1:] == ranked[:, :-1]).any(axis=(0, 1))
-            tied = rows if tied is None else tied | rows
+                lengths = length[segments]
+                if k <= _PAIRWISE_MAX_SEGMENTS:
+                    # earlier[:, i, j]: segment j precedes segment i in its
+                    # block; without ties, one of every pair does
+                    earlier = key[:, None] < key[:, :, None]
+                    offset = np.einsum("bijz,bj->biz", earlier, lengths)
+                    tie = np.count_nonzero(earlier) != key.size * (k - 1) // 2
+                else:
+                    order = np.argsort(key, axis=1)
+                    ranked = np.take_along_axis(key, order, axis=1)
+                    tie = np.count_nonzero(ranked[:, 1:] == ranked[:, :-1])
+                    placed = np.take_along_axis(np.broadcast_to(lengths[..., None], key.shape), order, axis=1)
+                    before = np.cumsum(placed, axis=1, dtype=np.int32)
+                    before -= placed
+                    offset = np.empty_like(before)
+                    np.put_along_axis(offset, order, before, axis=1)
+                out[segments] = offset
+            if tie:
+                ranked = np.sort(key, axis=1)
+                rows = (ranked[:, 1:] == ranked[:, :-1]).any(axis=(0, 1))
+                tied = rows if tied is None else tied | rows
     return out if tied is None else out[:, ~tied]
 
 
@@ -450,16 +458,18 @@ def _positions(forest: RootedTree | _Forest, offsets: np.ndarray) -> np.ndarray:
     Tree i of the forest (or the one tree) takes positions from
     ``starts[i] + 1``: a block starts there plus the offsets of the child
     segments on the path up to its root (a vertex with parent 0), summed
-    by pointer doubling in an (n + 1, rows) start matrix, whose gathers by
-    vertex read whole rows.  A vertex sits at its own offset from the
-    start of its block, so each row is a bijection onto 1..n.
+    by pointer doubling in an (n + 1, rows) int32 start matrix, whose
+    gathers by vertex read whole rows; ``jump`` is an intp copy of the
+    parent array, which spares numpy converting an int32 index on every
+    gather.  A vertex sits at its own offset from the start of its block,
+    so each row is a bijection onto 1..n, and the result is int32.
     """
     n = forest.n
     parent = forest.parent_array
-    start = np.zeros((n + 1, len(offsets)), dtype=np.int64)
+    start = np.zeros((n + 1, len(offsets)), dtype=np.int32)
     start[np.flatnonzero(parent)] = offsets[:, n:].T
     start[np.flatnonzero(parent[1:] == 0) + 1] = forest.starts[:, None] + 1
-    jump = parent
+    jump = parent.astype(np.intp)
     while np.count_nonzero(jump):
         start += start[jump]
         jump = jump[jump]
@@ -472,9 +482,11 @@ def _forest_totals(forest: RootedTree | _Forest, z: int, rng: np.random.Generato
     The Monte Carlo kernel.  Edge (p, c) has length |seg(c) + own(c) -
     own(p)|: c's segment offset in block p, c's own offset in block c, p's
     in block p.  Each chunk's lengths are gathered from the segment-major
-    ``offsets.T``, whole rows at a time, stay int32 and are summed per tree
-    by :func:`tree._tree_sums`; the chunks' sums are added up as Python
-    ints, so the totals are exact however large z grows.
+    ``offsets.T``, whole rows at a time, and stay int32; a chunk of several
+    rows first sums each edge's lengths over its rows, in int64, and the
+    per-edge column is summed per tree by :func:`tree._tree_sums`.  The
+    chunks' sums are added up as Python ints, so the totals are exact
+    however large z grows.
     """
     totals = [0] * forest.starts.size
     for offsets in _segment_offsets(forest, z, rng):
@@ -483,7 +495,9 @@ def _forest_totals(forest: RootedTree | _Forest, z: int, rng: np.random.Generato
         lengths = columns[forest.n :] + columns[kids - 1]
         lengths -= columns[forest.parent_array[kids] - 1]
         np.abs(lengths, out=lengths)
-        chunk = _tree_sums(forest, lengths).sum(axis=1).tolist()
+        if lengths.shape[1] > 1:
+            lengths = lengths.sum(axis=1, dtype=np.int64, keepdims=True)
+        chunk = _tree_sums(forest, lengths)[:, 0].tolist()
         totals = [total + s for total, s in zip(totals, chunk)]
         del kids, lengths  # hold no edge array while the next chunk is drawn
     return totals

@@ -50,11 +50,14 @@ def edge_length_probability(n: int, d: int) -> Fraction:
 
 def _closed_numerators(forest: RootedTree | _Forest) -> list[int]:
     """Six times each tree's expectation: the sum over its edges (p, c) of
-    n_c + 2 n_p + 1, exact in int64 below 2^63.  The terms are built in
-    place, so that at most three edge-length arrays are alive at once."""
+    n_c + 2 n_p + 1, exact in int64 below 2^63.  A term passes 2^31 above
+    about 7 * 10^8 vertices, so the int32 sizes are widened to int64 by the
+    first multiplication and the rest is added in place, so that at most
+    three edge-length arrays are alive at once."""
     kids = np.flatnonzero(forest.parent_array)
-    terms = 2 * forest.size_array[forest.parent_array[kids]] + 1
+    terms = np.multiply(forest.size_array[forest.parent_array[kids]], 2, dtype=np.int64)
     terms += forest.size_array[kids]
+    terms += 1
     return _tree_sums(forest, terms).tolist()
 
 

@@ -84,6 +84,30 @@ def relative_error(estimate: float, exact: Fraction | int) -> float:
     return (estimate - reference) / reference
 
 
+def _percentile(rows: np.ndarray, q: float) -> np.ndarray:
+    """The q-th percentile of each sorted row, by numpy's default "linear"
+    rule, with the bits ``np.percentile`` gives (which, in numpy 2, imports
+    ``numpy.ma`` through ``np.unique`` on its first call).
+
+    The rank v = (count - 1) q / 100 splits into i = floor(v) and g = v - i,
+    and a and b are the values at i and i + 1; past the last index numpy
+    takes the last value for both, at index -1, so g = v + 1 there.  The
+    result is a + (b - a) g for g < 0.5 and b - (b - a)(1 - g) otherwise.
+    Where a row holds both -0.0 and 0.0, which of them sorts first is
+    unspecified, so the sign of a zero bound may differ.
+    """
+    count = rows.shape[1]
+    rank = (count - 1) * (q / 100)
+    if rank < count - 1:
+        i = math.floor(rank)
+        below, above, gamma = rows[:, i], rows[:, i + 1], rank - i
+    else:
+        below = above = rows[:, -1]
+        gamma = rank + 1
+    step = above - below
+    return below + step * gamma if gamma < 0.5 else above - step * (1 - gamma)
+
+
 def aggregate_errors(
     records: Iterable[tuple[int, float]],
     resamples: int = 1000,
@@ -125,8 +149,8 @@ def aggregate_errors(
         for start in range(0, resamples, rows):
             indices = rng.integers(0, values.size, size=(min(rows, resamples - start), values.size))
             row[start : start + rows] = values[indices].mean(axis=1)
-    # means is scratch, so the percentiles may partition it in place
-    low, high = np.percentile(means, [tail, 100 - tail], axis=1, overwrite_input=True).tolist()
+    means.sort(axis=1)
+    low, high = (_percentile(means, q).tolist() for q in (tail, 100 - tail))
     return [
         ErrorStats(
             n=n,

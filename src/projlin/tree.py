@@ -1,8 +1,8 @@
 """Rooted trees on vertices 1..n.
 
-A rooted tree is stored as three numpy arrays, computed once when it is
-built: the parent of every vertex, the size of every subtree and every
-out-degree.  The parent array is the only form a tree takes: the tuple
+A rooted tree is stored as three int32 numpy arrays, computed once when
+it is built: the parent of every vertex, the size of every subtree and
+every out-degree.  The parent array is the only form a tree takes: the tuple
 views that Python loops read (parents, ascending children lists,
 breadth-first order) and the block plan the projective sampler reads are
 built from the arrays on first use and cached.  The block layout lives
@@ -79,15 +79,18 @@ class RootedTree:
     :func:`_attach_root`.  Only the three arrays are stored;
     ``parent``, ``children``, ``order`` and ``blocks`` are built from them
     on first use and cached.  The arrays are read-only and the views are
-    tuples, so the object is safe to share between threads.
+    tuples, so the object is safe to share between threads.  Every
+    constructor stores int32 arrays, 12 bytes per vertex: ids and sizes
+    are at most n, and every sum that can pass 2^31 is taken in int64.
+    Equal trees therefore hold equal bytes and hash alike.
 
     Attributes:
         n: number of vertices.
         root: the root vertex id.
-        parent_array: int64 array, ``parent_array[v]`` is the parent of
+        parent_array: int32 array, ``parent_array[v]`` is the parent of
             ``v`` (0 for the root and for the unused index 0).
-        size_array: int64 array of subtree sizes (index 0 holds 0).
-        out_degree_array: int64 array of child counts (index 0 holds 0).
+        size_array: int32 array of subtree sizes (index 0 holds 0).
+        out_degree_array: int32 array of child counts (index 0 holds 0).
         parent: ``parent_array`` as a tuple of ints.
         children: ``children[v]`` is the tuple of children of ``v``, in
             ascending order.
@@ -193,7 +196,7 @@ def _end_to_end(trees: Sequence[RootedTree], top: int):
     counts = np.array([tree.n for tree in trees], dtype=np.int64)
     starts = np.cumsum(counts) - counts + top
     parent, size, out_degree = (
-        np.concatenate([np.zeros(top + 1, np.int64), *(getattr(tree, name)[1:] for tree in trees)])
+        np.concatenate([np.zeros(top + 1, np.int32), *(getattr(tree, name)[1:] for tree in trees)])
         for name in ("parent_array", "size_array", "out_degree_array")
     )
     parent[top + 1 :] += np.where(parent[top + 1 :] != 0, np.repeat(starts, counts), top)
@@ -238,8 +241,11 @@ def _block_plan(n: int, parent: np.ndarray, out_degree: np.ndarray):
     segment always sits at offset 0, are left out.  One sort of the links
     by (parent's out-degree, parent) lists every block's children together
     and the blocks of one out-degree together; a ``bincount`` of the
-    out-degrees sizes the groups.  int32 ids halve the memory the cached
-    plan holds; they cover trees of up to 2^30 vertices.
+    out-degrees sizes the groups.  The sort key, out-degree times (n + 1)
+    plus parent, passes 2^31 on a hub star above 46,341 vertices, so it is
+    int64 even though ``parent`` and ``out_degree`` are int32.  int32 ids
+    halve the memory the cached plan holds; they cover trees of up to 2^30
+    vertices.
     """
     vertices_per_degree = np.bincount(out_degree[1:])
     vertices_per_degree[0] = 0  # leaves get no group
@@ -247,7 +253,7 @@ def _block_plan(n: int, parent: np.ndarray, out_degree: np.ndarray):
     # temporaries so that the cached plan does not pin them in the heap.
     flat = np.empty(np.count_nonzero(parent) + np.count_nonzero(out_degree), dtype=np.int32)
     heads = parent[parent != 0]  # the parent of kids[j], for every j
-    key = out_degree[heads]
+    key = out_degree[heads].astype(np.int64)
     key *= n + 1
     key += heads
     order = np.argsort(key)
@@ -296,11 +302,13 @@ def _doubling_kernel(n: int, parent: np.ndarray):
     vertices without an ancestor that far up and is cleared again, which
     costs less than compacting the vertices still climbing.  A vertex
     that still has an ancestor n or more links above lies on, or below, a
-    cycle.  ``parent`` is only read: the first squaring makes a new array.
+    cycle.  ``parent`` (int32) is only read: ``jump`` is an intp copy, since
+    numpy converts an index array of any other type to intp on every gather
+    and ``bincount``.  Returns the int32 sizes and out-degrees.
     """
     size = np.ones(n + 1)  # float64, as bincount sums weights; exact below 2^53
     size[0] = 0
-    jump = parent
+    jump = parent.astype(np.intp)
     reach = 1
     while np.count_nonzero(jump):
         if reach >= n:
@@ -309,9 +317,11 @@ def _doubling_kernel(n: int, parent: np.ndarray):
         size[0] = 0
         jump = jump[jump]
         reach *= 2
-    out_degree = np.bincount(parent, minlength=n + 1)
+    del jump
+    size = size.astype(np.int32)
+    out_degree = np.bincount(parent, minlength=n + 1).astype(np.int32)
     out_degree[0] = 0
-    return size.astype(np.int64), out_degree
+    return size, out_degree
 
 
 def _root_head_error(n: int, root: int, parent) -> Exception:
@@ -333,7 +343,7 @@ def _root_head_error(n: int, root: int, parent) -> Exception:
 def _tree_from_parent(n: int, root: int, parent: np.ndarray) -> RootedTree:
     """The constructor core: validate a parent array and measure the tree.
 
-    ``parent`` (an int64 array of length n + 1) must already hold only ids
+    ``parent`` (an int32 array of length n + 1) must already hold only ids
     in 0..n, no self-loops and a 0 in slot 0; 0 marks a vertex without a
     parent.  It becomes the tree's ``parent_array``.  Raises Disconnected
     or CycleDetected.
@@ -372,7 +382,7 @@ def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTre
         if parent[child]:
             raise MultipleHeads(f"vertex {child} has more than one parent")
         parent[child] = par
-    return _tree_from_parent(n, root, np.array(parent, dtype=np.int64))
+    return _tree_from_parent(n, root, np.array(parent, dtype=np.int32))
 
 
 def tree_from_heads(heads: Sequence[int]) -> RootedTree:
@@ -396,7 +406,7 @@ def tree_from_heads(heads: Sequence[int]) -> RootedTree:
         if h == v:
             raise CycleDetected(f"vertex {v} is its own parent")
         raise OutOfRange(f"link ({v}, {h}) not within 1..{n}")
-    return _tree_from_parent(n, int(zeros[0]) + 1, np.concatenate(([0], head)))
+    return _tree_from_parent(n, int(zeros[0]) + 1, np.concatenate(([0], head), dtype=np.int32))
 
 
 def parse_head_vector(text: str) -> RootedTree:

@@ -567,6 +567,31 @@ def test_segment_offsets_match_the_oracle_when_keys_tie(z):
     assert redrawn > 0
 
 
+@pytest.mark.parametrize("cells", [1, 10, 100])
+def test_groups_taken_in_slices_give_the_oracles_offsets_when_keys_tie(monkeypatch, cells):
+    # a budget below one group's keys splits the group into slices of
+    # max(1, cells // (k * rows)) blocks; a tie in any slice drops the row
+    monkeypatch.setattr(arrangement, "_CHUNK_CELLS", cells)
+    for i, (tree, bits) in enumerate(_tie_prone_cases()):
+        offsets = np.concatenate(list(arrangement._segment_offsets(tree, 20, NarrowKeys(i, bits))))
+        _, oracle_offsets = oracle_segment_offsets(tree, 20, NarrowKeys(i, bits))
+        assert np.array_equal(offsets, oracle_offsets), (tree, cells)
+
+
+def test_a_hub_past_the_int32_sort_key_keeps_its_block():
+    # the block plan sorts links by out-degree * (n + 1) + parent, which
+    # passes 2^31 here: a star of 50,000 vertices around hub 1, and one
+    # more vertex below leaf 2
+    n = 50_001
+    tree = tree_from_heads([0] + [1] * 49_999 + [2])
+    assert [segments.shape for segments in tree.blocks] == [(1, 2), (1, 50_000)]
+    assert tree.blocks[0].tolist() == [[1, n + 49_999]]
+    assert tree.blocks[1][0, 0] == 0 and sorted(tree.blocks[1][0, 1:].tolist()) == list(range(n, n + 49_999))
+    a = sample_projective(tree, 50)
+    assert is_projective(tree, a) and oracle_is_projective(tree, a)
+    assert sum_edge_lengths(tree, a) == oracle_edge_sum(tree, a)
+
+
 def test_segment_offsets_drawn_at_once_equal_successive_draws_when_keys_tie():
     for i, (tree, bits) in enumerate(_tie_prone_cases()):
         for z in (2, 7, 40):

@@ -215,6 +215,7 @@ def test_sample_writes_at_most_a_chunk_of_vertex_ids(monkeypatch, capsys, n):
 # Any change to the draw loop that moves a single draw changes them.
 PINNED_STREAMS = {
     "analyze_sentences": "05ae58f6255a0bdca85bc833ea92191268be21cc417141f974264b870d1373ee",
+    "analyze_summary": "2808935f7f4f032b30f6a445e204546242a28edee26255b8573eed2053063fb0",
     "sample": "98924338db1784f8edecdd22766366f3336c0eacc1caaaaf74ee3527ce940511",
     "sample_mean": "2f3407d4ba458425b1d05dea34c0354ccb6976a965063922bbcedb4e300c4be8",
 }
@@ -228,6 +229,7 @@ def test_outputs_of_the_draw_loop_are_pinned(tmp_path, capsys):
     args = ["--input", str(corpus), "--z", "10,100,1000", "--seed", "601", "--out-prefix", prefix]
     assert run(capsys, "analyze", *args)[0] == EXIT_OK
     sentences = (tmp_path / "out.sentences.csv").read_bytes()
+    summary = (tmp_path / "out.summary.csv").read_bytes()
     # a 30-vertex caterpillar: blocks of 10 and 11 segments, past the pairwise cut-off
     tree = ["--tree", caterpillar(3, 9).head_vector()]
     code, sample, _ = run(capsys, "sample", *tree, "--z", "5", "--seed", "3")
@@ -236,6 +238,7 @@ def test_outputs_of_the_draw_loop_are_pinned(tmp_path, capsys):
     assert code == EXIT_OK
     digests = {
         "analyze_sentences": hashlib.sha256(sentences).hexdigest(),
+        "analyze_summary": hashlib.sha256(summary).hexdigest(),
         "sample": hashlib.sha256(sample.encode()).hexdigest(),
         "sample_mean": hashlib.sha256(mean.encode()).hexdigest(),
     }
@@ -469,6 +472,29 @@ def test_cli_import_leaves_out_the_process_pool():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_analyze_loads_no_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma (through np.unique), 8-9 ms and about
+    # 0.45 MB; the bootstrap interval is taken without it
+    corpus = write_corpus(tmp_path / "three.conllu", [["0"], ["0", "1"], ["2", "0", "2"], ["0", "1", "1"]])
+    source = os.path.dirname(os.path.dirname(projlin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    argv = ["analyze", "--input", str(corpus), "--z", "10,100", "--out-prefix", str(tmp_path / "o")]
+    probe = (
+        "import sys, numpy\n"
+        "def ma(): return {m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')}\n"
+        "before = ma()\n"
+        "from projlin.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, sorted(ma() - before))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "o.summary.csv").read_text(encoding="utf-8").count("\n") == 5
 
 
 def _one_sentence_corpus(tmp_path):

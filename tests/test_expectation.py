@@ -25,7 +25,7 @@ from projlin import (
     random_tree,
 )
 from projlin.expectation import _closed_numerators
-from projlin.tree import _forest
+from projlin.tree import _Forest, _forest
 from helpers import (
     all_labeled_rooted_trees,
     brute_mean_projective,
@@ -170,6 +170,23 @@ def test_every_edge_has_its_closed_form_expected_length():
 def test_per_edge_sums_equal_the_vertex_form_tree_by_tree(trees):
     # 1 to 20 uniform random trees of 1 to 40 vertices, laid end to end
     assert _closed_numerators(_forest(trees)) == [oracle_vertex_numerator(t) for t in trees]
+
+
+def test_closed_numerators_sum_terms_past_the_int32_range_exactly():
+    # the sizes are int32, but n_c + 2 n_p + 1 passes 2^31 once sizes near
+    # 2^30: a hand-built forest of a 3-vertex path and a root with two
+    # children, whose sizes are set by hand
+    big = 2**30
+    parent = np.array([0, 0, 1, 2, 0, 4, 4], dtype=np.int32)
+    size = np.array([0, big + 2, big + 1, big, big - 1, big - 2, 3], dtype=np.int32)
+    forest = _Forest(6, parent, size, np.zeros(7, dtype=np.int32), np.array([0, 3]), ())
+    sizes = size.tolist()
+    want = [
+        sum(sizes[c] + 2 * sizes[parent[c]] + 1 for c in range(1 + start, 4 + start) if parent[c])
+        for start in (0, 3)
+    ]
+    assert want[0] > 2**32 and want[1] > 2**32
+    assert _closed_numerators(forest) == want
 
 
 def test_edge_decomposition_of_expectation():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import chisquare
 
 from projlin import (
@@ -234,6 +235,27 @@ def test_bootstrap_blocks_do_not_change_the_interval(monkeypatch, cells):
     whole = aggregate_errors(records, resamples=301, seed=3)
     monkeypatch.setattr(montecarlo, "_BOOTSTRAP_CELLS", cells)
     assert aggregate_errors(records, resamples=301, seed=3) == whole
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(1, 2000)),
+        elements=st.sampled_from([-0.0, 0.0, 0.125, -3.5, 1e-300]) | st.floats(-1e6, 1e6),
+    ),
+    st.sampled_from([100 * (1 - montecarlo.CONFIDENCE) / 2, 100 - 100 * (1 - montecarlo.CONFIDENCE) / 2, 0, 37.5, 50, 100]),
+)
+def test_percentiles_of_sorted_rows_are_numpys_linear_rule(means, q):
+    # tied values and zeros of either sign: the bound is np.percentile's
+    # to the bit, except that a row holding both -0.0 and 0.0 may sort
+    # either first, so only there may the sign of a zero bound differ
+    want = np.percentile(means, q, axis=1)
+    got = montecarlo._percentile(np.sort(means, axis=1), q)
+    assert np.array_equal(got, want)
+    zeros = means == 0
+    mixed = (zeros & np.signbit(means)).any(axis=1) & (zeros & ~np.signbit(means)).any(axis=1)
+    assert got[~mixed].tobytes() == want[~mixed].tobytes()
 
 
 def test_bootstrap_coverage():

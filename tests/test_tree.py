@@ -22,6 +22,7 @@ from projlin import (
     class_formula,
     enumerate_rooted_trees,
     make_class,
+    min_expected_sum,
     parse_head_vector,
     random_tree,
     tree_from_heads,
@@ -243,6 +244,32 @@ def test_equal_trees_hash_equal():
     a, b = parse_head_vector("0 1 1 2"), tree_from_heads([0, 1, 1, 2])
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b, parse_head_vector("0 1 2 2")}) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(TREE_CLASSES), st.integers(1, 12))
+def test_every_constructor_stores_int32_arrays_and_equal_trees_hash_equal(n, seed, tree_class, m):
+    # the hash reads the parent array's bytes, so one dtype from every
+    # constructor is what makes equal trees hash alike
+    t = random_tree(n, seed)
+    links = [(v, p) for v, p in enumerate(t.parent) if p]
+    trees = [
+        t,
+        tree_from_heads(t.parent[1:]),
+        tree_from_heads(np.array(t.parent[1:], dtype=np.uint16)),
+        parse_head_vector(t.head_vector()),
+        build_tree(n, links, t.root),
+        make_class(tree_class, n + 3),
+        t.subtree(1 + seed % n),
+        *min_expected_sum(m).trees,
+    ]
+    for tree in trees + [tree_module._forest(trees)]:
+        arrays = (tree.parent_array, tree.size_array, tree.out_degree_array)
+        assert [array.dtype for array in arrays] == [np.int32] * 3
+    for tree in trees:
+        copy = parse_head_vector(tree.head_vector())
+        assert tree == copy and hash(tree) == hash(copy)
+    assert len({*trees[:5]}) == 1
 
 
 def test_random_tree_determinism_and_validity():
