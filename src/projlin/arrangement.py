@@ -380,7 +380,7 @@ def _segment_offsets(
     tree's draw with it; the kept rows are still the first z tie-free ones,
     so each tree's draws stay exactly uniform and independent.
     """
-    blocks = tree.blocks  # a tree's plan is built here, before any key is drawn
+    blocks = tree.blocks  # a tree's plan is built before any key, so its sort never meets them
     length = _segment_lengths(tree)
     chunk = max(1, _CHUNK_CELLS // length.size)
     while z:

@@ -443,7 +443,7 @@ def test_doubling_on_paths_around_powers_of_two(k):
     rnd = random.Random(k)
     for n in (2**k - 1, 2**k, 2**k + 1):
         for labels in (list(range(1, n + 1)), rnd.sample(range(1, n + 1), n)):
-            parent = np.zeros(n + 1, dtype=np.int64)
+            parent = np.zeros(n + 1, dtype=np.int32)
             parent[labels[1:]] = labels[:-1]
             given_parent = parent.copy()
             got = _views(lambda: tree_module._tree_from_parent(n, labels[0], parent))
@@ -460,7 +460,7 @@ def test_doubling_finds_a_two_cycle_beside_a_path_and_above_one():
     # path 1..149, cycle 150-151, and the path 152..300 hanging below 151
     above = [0] + list(range(1, 149)) + [151, 150] + list(range(151, 300))
     for heads in (beside, above):
-        parent = np.array([0] + heads, dtype=np.int64)
+        parent = np.array([0] + heads, dtype=np.int32)
         assert np.count_nonzero(parent) == n - 1
         got = _views(lambda: tree_module._tree_from_parent(n, 1, parent))
         assert got == ("CycleDetected", "the unreachable vertices form one or more cycles")
