@@ -66,7 +66,6 @@ from .tree import (
 from .treebank import (
     SentenceAnalysis,
     SkipRecord,
-    Token,
     TreebankReport,
     TreebankSentence,
     analyze_treebank,
@@ -97,7 +96,6 @@ __all__ = [
     "SentenceAnalysis",
     "SizeMismatch",
     "SkipRecord",
-    "Token",
     "TreebankReport",
     "TreebankSentence",
     "TREE_CLASSES",

@@ -210,12 +210,6 @@ def _projective_rows(forest: RootedTree | _Forest, positions: np.ndarray) -> np.
     return _tree_sums(forest, misplaced) == 0
 
 
-def _identity_projective(forest: RootedTree | _Forest) -> np.ndarray:
-    """Whether each tree's identity arrangement is projective, as a bool
-    array: :func:`_projective_rows` on the identity row."""
-    return _projective_rows(forest, np.arange(1, forest.n + 1)[None])[:, 0]
-
-
 def is_planar(tree: RootedTree, arrangement: LinearArrangement) -> bool:
     """True when no two edges cross when drawn above the positions.
 

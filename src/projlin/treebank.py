@@ -1,9 +1,10 @@
 """CoNLL-U ingestion and the per-sentence analysis pipeline.
 
-The parser turns each sentence into a rooted tree over its word tokens
-(multiword ranges and empty nodes are dropped, ids compacted to 1..n, the
-tree built from the compacted head vector), so the surface token order
-is the identity arrangement of that tree.
+The parser turns each sentence into its id and a rooted tree over its
+word tokens (multiword ranges and empty nodes are dropped, ids compacted
+to 1..n, the tree built from the compacted head vector), so the surface
+token order is the identity arrangement of that tree.  Of a token line
+only the id, the head and whether the UPOS is PUNCT outlive the line.
 Sentences that do not form a valid tree are reported as skip records with
 a reason instead of aborting the stream, since real treebanks contain
 annotation errors.
@@ -18,11 +19,13 @@ requested sample count.
 
 Sentences are analyzed in blocks of ``_BLOCK_SENTENCES`` consecutive
 accepted ones, each laid out as one forest (``tree._forest``).  The exact
-columns are per-edge terms of the forest's arrays summed over each
-sentence's edges (``tree._tree_sums``), and the Monte Carlo columns, whose
-kernel sums edge lengths the same way, come from one draw-loop call per
-(block, z), seeded from the (block index, z index), so results do not
-depend on scheduling and the blocks can be spread over a process pool.
+expectations are per-edge terms of the forest's arrays summed over each
+sentence's edges, the observed sums and projectivity flags come from one
+identity row of positions through the row kernels of ``arrangement``
+(``_edge_length_sums`` and ``_projective_rows``), and the Monte Carlo
+columns come from one draw-loop call per (block, z), seeded from the
+(block index, z index), so results do not depend on scheduling and the
+blocks can be spread over a process pool.
 """
 
 from __future__ import annotations
@@ -30,16 +33,16 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ._digits import exact_str
-from .arrangement import _forest_totals, _identity_projective, count_projective
+from .arrangement import _edge_length_sums, _forest_totals, _projective_rows, count_projective
 from .errors import OutOfRange, ProjlinError, _integer, _iterable
 from .expectation import _closed_numerators
 from .montecarlo import ErrorStats, aggregate_errors, relative_error
-from .tree import RootedTree, _forest, _tree_sums, tree_from_heads
+from .tree import RootedTree, _forest, tree_from_heads
 
 # Sentences drawn together as one forest.  On the benchmark's 200-sentence
 # corpus at z = 10, 100 and 1000, 8 to 32 timed alike and 16 best; larger
@@ -47,18 +50,12 @@ from .tree import RootedTree, _forest, _tree_sums, tree_from_heads
 _BLOCK_SENTENCES = 16
 
 
-class Token(NamedTuple):
-    id: int
-    form: str
-    head: int
-
-
 @dataclass(frozen=True)
 class TreebankSentence:
-    """One parsed sentence: tokens with compacted ids (in surface order) and tree."""
+    """One parsed sentence: its id and the tree of its word tokens, whose
+    vertices are the tokens' compacted ids in surface order."""
 
     sentence_id: str
-    tokens: tuple[Token, ...]
     tree: RootedTree
 
 
@@ -92,7 +89,7 @@ class TreebankReport:
 
 
 def _finish_sentence(
-    tokens: list[tuple[int, str, int, str]],
+    tokens: list[tuple[int, int, bool]],
     failure: str | None,
     sentence_id: str,
     filter_punct: bool,
@@ -100,30 +97,28 @@ def _finish_sentence(
     if failure is not None:
         return SkipRecord(sentence_id, failure)
     if filter_punct:
-        tokens = [t for t in tokens if t[3] != "PUNCT"]
+        tokens = [t for t in tokens if not t[2]]
     if not tokens:
         return SkipRecord(sentence_id, "no word tokens")
-    remap = {orig: i for i, (orig, _, _, _) in enumerate(tokens, start=1)}
+    remap = {orig: i for i, (orig, _, _) in enumerate(tokens, start=1)}
     if len(remap) != len(tokens):
         return SkipRecord(sentence_id, "duplicate token id")
-    roots = sum(1 for _, _, head, _ in tokens if head == 0)
+    roots = sum(1 for _, head, _ in tokens if head == 0)
     if not roots:
         return SkipRecord(sentence_id, "no root token")
     if roots > 1:
         return SkipRecord(sentence_id, "multiple root tokens")
     heads = []
-    compacted = []
-    for orig, form, head, _ in tokens:
+    for _, head, _ in tokens:
         if head and head not in remap:
             reason = "head refers to a removed token" if filter_punct else "head refers to a missing token"
             return SkipRecord(sentence_id, reason)
         heads.append(remap[head] if head else 0)
-        compacted.append(Token(remap[orig], form, heads[-1]))
     try:
         tree = tree_from_heads(heads)
     except ProjlinError as exc:
         return SkipRecord(sentence_id, type(exc).__name__)
-    return TreebankSentence(sentence_id, tuple(compacted), tree)
+    return TreebankSentence(sentence_id, tree)
 
 
 def parse_conllu(
@@ -131,10 +126,14 @@ def parse_conllu(
 ) -> Iterator[TreebankSentence | SkipRecord]:
     """Parse CoNLL-U text into sentences, one record per sentence.
 
-    ``lines`` is any iterable of text lines (an open file works).  Token
-    lines must have 10 tab-separated columns; a malformed line rejects its
-    sentence but never the stream.  Multiword ranges (ids with '-') and
-    empty nodes (ids with '.') are dropped; heads come from column 7.
+    Each sentence becomes a :class:`TreebankSentence`, its ``sent_id``
+    (or its number in the stream, from 1) and its tree, or a
+    :class:`SkipRecord`.  ``lines`` is any iterable of text lines (an
+    open file works).  Token lines must have 10 tab-separated columns; a
+    malformed line rejects its sentence but never the stream.  Multiword
+    ranges (ids with '-') and empty nodes (ids with '.') are dropped;
+    heads come from column 7 and UPOS from column 4, and no other column
+    is kept.
     With ``filter_punct`` set, tokens whose UPOS is PUNCT are removed and
     ids compacted; sentences whose remaining heads point at a removed
     token are skipped with that reason.  ``lines`` that is not iterable or
@@ -147,7 +146,7 @@ def parse_conllu(
 
 
 def _parse_lines(lines: Iterable[str], filter_punct: bool) -> Iterator[TreebankSentence | SkipRecord]:
-    tokens: list[tuple[int, str, int, str]] = []
+    tokens: list[tuple[int, int, bool]] = []  # (id, head, is PUNCT) per word token
     failure: str | None = None
     sent_id: str | None = None
     seen_any = False
@@ -187,7 +186,7 @@ def _parse_lines(lines: Iterable[str], filter_punct: bool) -> Iterator[TreebankS
         if orig < 1 or head < 0:
             failure = f"MalformedLine: id or head out of range ({orig}, {head})"
             continue
-        tokens.append((orig, cols[1], head, cols[3]))
+        tokens.append((orig, head, cols[3] == "PUNCT"))
 
     if seen_any:
         count += 1
@@ -203,13 +202,13 @@ def _analyze_block(
     payload: tuple[int, tuple[TreebankSentence, ...], tuple[int, ...], int]
 ) -> tuple[SentenceAnalysis, ...]:
     """The analyses of one block of sentences, drawn as one forest; the
-    exact columns are sums of per-edge terms over each sentence's edges."""
+    observed columns are those of the identity row of positions."""
     index, sentences, z_values, seed = payload
     forest = _forest([sentence.tree for sentence in sentences])
-    kids = np.flatnonzero(forest.parent_array)
+    identity = np.arange(1, forest.n + 1)[None]
     exact = [Fraction(numerator, 6) for numerator in _closed_numerators(forest)]
-    observed = _tree_sums(forest, np.abs(kids - forest.parent_array[kids])).tolist()
-    projective = _identity_projective(forest).tolist()
+    observed = _edge_length_sums(forest, identity)[:, 0].tolist()
+    projective = _projective_rows(forest, identity)[:, 0].tolist()
     estimates = []  # per z, one (z, estimate, relative error) per sentence
     for which, z in enumerate(z_values):
         rng = np.random.default_rng(_derived_seed(seed, index, which))
@@ -249,8 +248,9 @@ def analyze_treebank(
     sentences, whose exact expectation is zero.  A seed, ``jobs`` or z value
     that is not an integer, a negative seed, ``jobs`` or a z value below 1,
     ``sentences`` or ``z_values`` not iterable, an item of ``sentences``
-    that is neither a sentence nor a skip record, an empty ``z_values`` or
-    a z value given twice raises OutOfRange.
+    that is neither a skip record nor a sentence whose tree is a
+    RootedTree, an empty ``z_values`` or a z value given twice raises
+    OutOfRange.
     """
     seed = _integer(seed, "seed", 0)
     jobs = _integer(jobs, "jobs", 1)
@@ -264,10 +264,10 @@ def analyze_treebank(
     for item in _iterable(sentences, "sentences", "sentences and skip records"):
         if isinstance(item, SkipRecord):
             skips[item.reason] = skips.get(item.reason, 0) + 1
-        elif isinstance(item, TreebankSentence):
+        elif isinstance(item, TreebankSentence) and isinstance(item.tree, RootedTree):
             accepted.append(item)
         else:
-            raise OutOfRange(f"sentences must hold sentences and skip records, got {item!r}")
+            raise OutOfRange(f"sentences must hold skip records and sentences with a RootedTree, got {item!r}")
 
     payloads = [
         (index, tuple(accepted[start : start + _BLOCK_SENTENCES]), z_values, seed)

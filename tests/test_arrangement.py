@@ -16,6 +16,7 @@ from projlin import (
     LinearArrangement,
     OutOfRange,
     SizeMismatch,
+    TreebankSentence,
     UnsupportedSize,
     aggregate_errors,
     analyze_treebank,
@@ -102,6 +103,7 @@ SEQUENCE_ARGUMENTS = {
     "conllu_line_not_text": (lambda: list(parse_conllu([None])), "lines"),
     "sentences_of_integers": (lambda: analyze_treebank([1, 2], [1]), "sentences"),
     "sentences_one_str": (lambda: analyze_treebank("abc", [1]), "sentences"),
+    "sentence_tree_a_str": (lambda: analyze_treebank([TreebankSentence("a", "x")], [10]), "sentences"),
     "record_error_infinite": (lambda: aggregate_errors([(3, float("inf"))]), "records"),
     "record_error_nan": (lambda: aggregate_errors([(3, float("nan"))]), "records"),
     # an arrangement given as a plain list of positions
@@ -408,7 +410,8 @@ def test_projectivity_and_sums_equal_the_oracles_on_random_trees(shapes, seed):
             assert is_projective(tree, a) == oracle_is_projective(tree, a), (tree, a)
             assert sum_edge_lengths(tree, a) == oracle_edge_sum(tree, a), (tree, a)
         trees.append(_relabeled(tree, projective) if rng.integers(2) else tree)
-    flags = arrangement._identity_projective(_forest(trees)).tolist()
+    forest = _forest(trees)
+    flags = arrangement._projective_rows(forest, np.arange(1, forest.n + 1)[None])[:, 0].tolist()
     assert flags == [oracle_is_projective(t, LinearArrangement.identity(t.n)) for t in trees]
 
 

@@ -245,6 +245,125 @@ def test_outputs_of_the_draw_loop_are_pinned(tmp_path, capsys):
     assert digests == PINNED_STREAMS
 
 
+def _punct_corpus():
+    """CoNLL-U text for ``analyze --filter-punct``: every skip reason the
+    parser gives, PUNCT leaves, PUNCT tokens that head a word or the
+    sentence, multiword ranges and empty nodes, then random sentences whose
+    leaves at every third id are PUNCT.  Token lines are written with
+    spaces for tabs."""
+    handwritten = [
+        # PUNCT leaves, a multiword range and an empty node
+        "# sent_id = leaves",
+        "1-2 dont _ _ _ _ _ _ _ _",
+        "1 do do AUX _ _ 3 aux _ _",
+        "2 nt not PART _ _ 3 advmod _ _",
+        "3 go go VERB _ _ 0 root _ _",
+        "3.1 went go VERB _ _ _ _ 3:conj _",
+        "4 , , PUNCT _ _ 6 punct _ _",
+        "5 now now ADV _ _ 6 advmod _ _",
+        "6 stop stop VERB _ _ 3 conj _ _",
+        "7 . . PUNCT _ _ 3 punct _ _",
+        "",
+        # a PUNCT token that heads a word
+        "# sent_id = punct-head",
+        "1 a a NOUN _ _ 0 root _ _",
+        "2 ( ( PUNCT _ _ 1 punct _ _",
+        "3 b b NOUN _ _ 2 dep _ _",
+        "",
+        # a PUNCT root
+        "# sent_id = punct-root",
+        "1 a a NOUN _ _ 2 dep _ _",
+        "2 : : PUNCT _ _ 0 root _ _",
+        "3 b b NOUN _ _ 2 dep _ _",
+        "",
+        # punctuation alone
+        "# sent_id = punct-only",
+        "1 ! ! PUNCT _ _ 0 root _ _",
+        "2 ! ! PUNCT _ _ 1 punct _ _",
+        "",
+        # a multiword range and an empty node alone
+        "# sent_id = no-words",
+        "1-2 ab _ _ _ _ _ _ _ _",
+        "0.1 e _ _ _ _ _ _ _ _",
+        "",
+        "# sent_id = nine-columns",
+        "1 a a NOUN _ _ 0 root _",
+        "2 b b NOUN _ _ 1 dep _ _",
+        "",
+        "# sent_id = non-numeric",
+        "1 a a NOUN _ _ 0 root _ _",
+        "2 b b NOUN _ _ x dep _ _",
+        "",
+        "# sent_id = id-zero",
+        "0 a a NOUN _ _ 1 dep _ _",
+        "1 b b NOUN _ _ 0 root _ _",
+        "",
+        "# sent_id = duplicate",
+        "1 a a NOUN _ _ 0 root _ _",
+        "1 b b NOUN _ _ 1 dep _ _",
+        "",
+        "# sent_id = no-root",
+        "1 a a NOUN _ _ 2 dep _ _",
+        "2 b b NOUN _ _ 1 dep _ _",
+        "",
+        "# sent_id = two-roots",
+        "1 a a NOUN _ _ 0 root _ _",
+        "2 b b NOUN _ _ 0 root _ _",
+        "",
+        "# sent_id = missing-head",
+        "1 a a NOUN _ _ 0 root _ _",
+        "2 b b NOUN _ _ 9 dep _ _",
+        "",
+        "# sent_id = self-loop",
+        "1 a a NOUN _ _ 0 root _ _",
+        "2 b b NOUN _ _ 2 dep _ _",
+        "",
+        "# sent_id = cycle",
+        "1 a a NOUN _ _ 0 root _ _",
+        "2 b b NOUN _ _ 3 dep _ _",
+        "3 c c NOUN _ _ 2 dep _ _",
+        "",
+        # no sent_id: the sentence's number names it
+        "1 a a NOUN _ _ 0 root _ _",
+        "2 . . PUNCT _ _ 1 punct _ _",
+        "",
+    ]
+    lines = [line.replace(" ", "\t") for line in handwritten]
+    for i, tree in enumerate(random_tree_corpus(24, 1, 30, 17)):
+        lines.append(f"# sent_id = r{i}")
+        for v, head in enumerate(tree.parent[1:], start=1):
+            upos = "PUNCT" if v % 3 == 0 and not tree.children[v] else "X"
+            lines.append(f"{v}\tw{v}\t_\t{upos}\t_\t_\t{head}\t_\t_\t_")
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of analyze's two CSVs and stdout on _punct_corpus(), with and
+# without --filter-punct
+PINNED_PUNCT = {
+    "filtered_sentences": "18ab05fd46d62c67a20e55f3b13704e1567930542c9773d6bf59bae49afda2b1",
+    "filtered_summary": "87b068c71cd15468d9d3448dd6c57a8a36a7a98728ed149b34e8d12808583618",
+    "filtered_stdout": "ec76f48337c925d1f48ec8982b702002f5bf372f274dde8f1c977a9f1b95d8b5",
+    "kept_sentences": "af6232f8c17d4db1bf1fda7a5afcf94bb38f2b3621f0fcdee6b793dd0a049cd6",
+    "kept_summary": "13315d9e29655322b79d88725757459f0300d8d7b103c168d452944236d6cd65",
+    "kept_stdout": "12f7753f4f26194cef46b9f4ee91ccaea6ba54a43570471b4d69db3d18f5b31d",
+}
+
+
+def test_analyze_filter_punct_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "punct.conllu").write_text(_punct_corpus(), encoding="utf-8")
+    digests = {}
+    for name, flags in (("filtered", ["--filter-punct"]), ("kept", [])):
+        args = ["--input", "punct.conllu", "--z", "10,100", "--seed", "5", "--out-prefix", name, *flags]
+        code, out, err = run(capsys, "analyze", *args)
+        assert code == EXIT_OK, err
+        csvs = [(tmp_path / f"{name}.{part}.csv").read_bytes() for part in ("sentences", "summary")]
+        for part, data in zip(("sentences", "summary", "stdout"), [*csvs, out.encode()]):
+            digests[f"{name}_{part}"] = hashlib.sha256(data).hexdigest()
+    assert digests == PINNED_PUNCT
+
+
 def test_nul_bytes_in_paths_are_validation_errors(tmp_path, capsys):
     # open() raises ValueError, not OSError, for a path holding a NUL byte
     corpus = write_corpus(tmp_path / "one.conllu", [["0"]])

@@ -46,7 +46,7 @@ def test_two_token_sentence():
     assert isinstance(sentence, TreebankSentence)
     assert sentence.tree.root == 2
     assert sentence.tree.parent[1] == 2
-    assert [token.form for token in sentence.tokens] == ["he", "left"]
+    assert sentence.tree.parent[1:] == (2, 0)
 
 
 def test_sent_id_comment_and_default_numbering():
@@ -71,7 +71,7 @@ def test_multiword_and_empty_nodes_dropped():
     ) + "\n\n"
     (sentence,) = conllu(text)
     assert sentence.tree.n == 4
-    assert [t.form for t in sentence.tokens] == ["a", "b", "c", "d"]
+    assert sentence.tree.parent[1:] == (2, 0, 2, 3)
 
 
 def test_malformed_line_skips_sentence_not_stream():
@@ -179,10 +179,6 @@ def test_any_lines_give_one_tree_or_skip_record_per_sentence(lines):
             if isinstance(record, SkipRecord):
                 continue
             assert isinstance(record, TreebankSentence)
-            n = record.tree.n
-            assert n == len(record.tokens)
-            assert [token.id for token in record.tokens] == list(range(1, n + 1))
-            assert record.tree.parent[1:] == tuple(token.head for token in record.tokens)
 
 
 @st.composite
@@ -217,7 +213,6 @@ def test_conllu_trees_are_the_trees_of_their_compacted_heads(case):
     lines, filter_punct, compacted = case
     (sentence,) = parse_conllu(io.StringIO("\n".join(lines) + "\n\n"), filter_punct)
     assert isinstance(sentence, TreebankSentence)
-    assert [token.head for token in sentence.tokens] == compacted
     want = tree_from_heads(compacted)
     assert sentence.tree == want
     assert np.array_equal(sentence.tree.size_array, want.size_array)
@@ -419,7 +414,7 @@ def test_block_exact_columns_equal_the_per_sentence_oracles(specs):
     trees = [
         _projective_relabel(tree, seed) if projective else tree for tree, seed, projective in specs
     ]
-    sentences = tuple(TreebankSentence(str(i), (), t) for i, t in enumerate(trees))
+    sentences = tuple(TreebankSentence(str(i), t) for i, t in enumerate(trees))
     for tree, analysis in zip(trees, _analyze_block((0, sentences, (1,), 0))):
         surface = LinearArrangement.identity(tree.n)
         assert analysis.observed_standard == oracle_edge_sum(tree, surface)
