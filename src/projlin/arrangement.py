@@ -27,8 +27,8 @@ positions.  Three callers give the keys:
   off the mixed-radix digits of r, as ranks in permutations;
 * the one projectivity test, ``_projective_rows``, keys each block by the
   positions of a row under test, and the row is projective exactly when
-  the kernels give it back.  ``is_projective``, ``is_planar`` (through
-  it), the treebank's identity flags and ``projlin selfcheck`` all call it.
+  the kernels give it back.  ``is_projective``, ``is_planar`` (on the
+  rerooted tree), the treebank's identity flags and ``selfcheck`` call it.
 
 Per-tree sums of per-edge terms (edge lengths, misplaced vertices) go
 through ``tree._tree_sums``, the reducer the exact columns share.  The
@@ -87,13 +87,6 @@ class LinearArrangement:
         arrangement = cls.__new__(cls)
         arrangement.pos, arrangement.inverse = pos, inverse
         return arrangement
-
-    @classmethod
-    def _of_bijection(cls, positions: np.ndarray) -> "LinearArrangement":
-        """:meth:`_trusted` for an int array of positions, a bijection onto 1..n."""
-        inverse = np.zeros(positions.size + 1, dtype=np.int64)
-        inverse[positions] = np.arange(1, positions.size + 1)
-        return cls._trusted((0,) + tuple(positions.tolist()), tuple(inverse.tolist()))
 
     @classmethod
     def identity(cls, n: int) -> "LinearArrangement":
@@ -216,11 +209,11 @@ def is_planar(tree: RootedTree, arrangement: LinearArrangement) -> bool:
     An arrangement is projective exactly when no edges cross and no edge
     covers the root.  No edge covers position 1, so an arrangement is
     planar exactly when it is projective for the tree rerooted at the
-    vertex there.  O(n), by :func:`is_projective`.
+    vertex there.  O(n), by the one-row call of :func:`_projective_rows`.
     """
     _check_same_size(tree, arrangement)
-    parent = _reroot(list(tree.parent), arrangement.inverse[1])
-    return is_projective(tree_from_heads(parent[1:]), arrangement)
+    rerooted = tree_from_heads(_reroot(tree.parent_array.tolist(), arrangement.inverse[1])[1:])
+    return bool(_projective_rows(rerooted, np.array([arrangement.pos[1:]]))[0, 0])
 
 
 def count_projective(tree: RootedTree) -> int:
@@ -247,17 +240,13 @@ def enumerate_projective(
     slowest and the last owner's fastest.  Each digit visits its block's
     orders lexicographically, with the vertex's own slot first, so the
     first arrangement lays out the tree depth first.  The rows of
-    :func:`_projective_positions`, wrapped one by one.  Raises
+    :func:`_projective_positions`, wrapped by :func:`_arrangements`.  Raises
     CapExceeded when the count is above ``cap`` (it grows factorially
     with the degrees), and OutOfRange for a ``cap`` that is not a
     non-negative integer, both at the call, not the first ``next()``.
     """
     chunks = _projective_positions(tree, cap)
-    return (
-        LinearArrangement._trusted((0, *pos), (0, *inverse))
-        for positions in chunks
-        for pos, inverse in zip(positions.tolist(), _vertex_rows(positions).tolist())
-    )
+    return (arrangement for positions in chunks for arrangement in _arrangements(positions))
 
 
 def _projective_positions(tree: RootedTree, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[np.ndarray]:
@@ -340,9 +329,17 @@ def _permutation_ranks(digits: np.ndarray, k: int, dtype) -> np.ndarray:
 def _vertex_rows(positions: np.ndarray) -> np.ndarray:
     """The vertices of each row of positions, (rows, n), in position order:
     each row's inverse, as an int32 view."""
-    rows = np.empty((positions.shape[0], positions.shape[1] + 1), dtype=np.int32)
-    np.put_along_axis(rows, positions, np.arange(1, positions.shape[1] + 1, dtype=np.int32), axis=1)
+    r, n = positions.shape
+    rows = np.empty((r, n + 1), dtype=np.int32)
+    rows[np.arange(r)[:, None], positions] = np.arange(1, n + 1, dtype=np.int32)
     return rows[:, 1:]
+
+
+def _arrangements(positions: np.ndarray) -> Iterator[LinearArrangement]:
+    """Each row of positions, (rows, n), a bijection onto 1..n by
+    construction, wrapped unchecked with its row of :func:`_vertex_rows`."""
+    for pos, inverse in zip(positions.tolist(), _vertex_rows(positions).tolist()):
+        yield LinearArrangement._trusted((0, *pos), (0, *inverse))
 
 
 def _segment_offsets(
@@ -507,4 +504,5 @@ def sample_projective(tree: RootedTree, seed) -> LinearArrangement:
     samples from one stream).
     """
     (offsets,) = _segment_offsets(tree, 1, _generator(seed))
-    return LinearArrangement._of_bijection(_positions(tree, offsets)[0])
+    (arrangement,) = _arrangements(_positions(tree, offsets))
+    return arrangement

@@ -14,15 +14,16 @@ Carlo kernel alike.  Vertex ids and arrangement positions share the same
 1-based range, so head vectors and CoNLL-U token ids line up without
 translation.
 
-Every constructor ends in one core that validates a parent array and
-computes the subtree sizes by numpy pointer doubling: about log2(height)
-rounds, each one ``bincount`` and one gather over the whole array, and no
-loop over vertices or levels, so a path costs no more than a bushy tree
-of the same size, and a tree of any size takes the same path.  The
-root-above constructor ``_attach_root``, which builds the minimizing
-trees of ``extrema``, skips the core: it lays subtrees already built end
-to end below a new root, as ``_forest`` lays out a forest, so the result
-is a tree by construction.  A head-vector text of ASCII digits and
+``build_tree`` and ``tree_from_heads`` check what only their own input
+can get wrong, then end in one line, ``RootedTree(n, root, parent,
+*_doubling_kernel(n, parent))``: the kernel finds any cycle and computes
+the subtree sizes by numpy pointer doubling, in about log2(height)
+rounds of one ``bincount`` and one gather over the whole array, so a path
+costs no more than a bushy tree of the same size.  The root-above
+constructor ``_attach_root``, which builds the minimizing trees of
+``extrema``, skips the kernel: it lays subtrees already built end to end
+below a new root, as ``_forest`` lays out a forest, so the result is a
+tree by construction.  A head-vector text of ASCII digits and
 whitespace is read by one ``np.fromstring`` call; any other text goes
 through ``str.split``, which names what is wrong with it.
 
@@ -214,7 +215,7 @@ def _attach_root(subtrees: Sequence[RootedTree]) -> RootedTree:
     v becomes v plus the count of vertices before that subtree.  Children
     lists come out ascending.  The result is a tree by construction and the
     subtrees' sizes and out-degrees carry over, so it is assembled from
-    their arrays without the validating core; its views come on first use.
+    their arrays without the validating kernel; its views come on first use.
     """
     n, parent, size, out_degree, _ = _end_to_end(subtrees, 1)
     size[1], out_degree[1] = n, len(subtrees)
@@ -294,6 +295,8 @@ def _tree_sums(forest: RootedTree | _Forest, per_edge: np.ndarray) -> np.ndarray
 def _doubling_kernel(n: int, parent: np.ndarray):
     """Subtree sizes by pointer doubling, with cycle detection.
 
+    ``parent``, int32 of length n + 1, holds 0 in slot 0 and at the root
+    alone, and in every other slot an id in 1..n other than its own.
     Before round k, ``jump[x]`` is the ancestor 2^k links above x (0 when
     there is none) and ``size[x]`` counts the descendants of x, itself
     included, fewer than 2^k links below it.  Adding every ``size[x]``
@@ -302,7 +305,7 @@ def _doubling_kernel(n: int, parent: np.ndarray):
     vertices without an ancestor that far up and is cleared again, which
     costs less than compacting the vertices still climbing.  A vertex
     that still has an ancestor n or more links above lies on, or below, a
-    cycle.  ``parent`` (int32) is only read: ``jump`` is an intp copy, since
+    cycle.  ``parent`` is only read: ``jump`` is an intp copy, since
     numpy converts an index array of any other type to intp on every gather
     and ``bincount``.  Returns the int32 sizes and out-degrees.
     """
@@ -340,28 +343,12 @@ def _root_head_error(n: int, root: int, parent) -> Exception:
     return CycleDetected("the unreachable vertices form one or more cycles")
 
 
-def _tree_from_parent(n: int, root: int, parent: np.ndarray) -> RootedTree:
-    """The constructor core: validate a parent array and measure the tree.
-
-    ``parent`` (an int32 array of length n + 1) must already hold only ids
-    in 0..n, no self-loops and a 0 in slot 0; 0 marks a vertex without a
-    parent.  It becomes the tree's ``parent_array``.  Raises Disconnected
-    or CycleDetected.
-    """
-    n_links = int(np.count_nonzero(parent))
-    if n_links < n - 1:
-        raise Disconnected(f"{n - 1} parent links needed to connect {n} vertices, got {n_links}")
-    if parent[root]:
-        raise _root_head_error(n, root, parent.tolist())
-    size, out_degree = _doubling_kernel(n, parent)
-    return RootedTree(n, root, parent, size, out_degree)
-
-
 def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTree:
     """Build and validate a rooted tree from (child, parent) links.
 
     The links may come in any order; only the parent of each vertex is
-    kept.  Raises UnsupportedSize, MultipleHeads, CycleDetected,
+    kept.  Unlike a head vector, links can be too few, or give the root a
+    parent.  Raises UnsupportedSize, MultipleHeads, CycleDetected,
     Disconnected, BadRoot, or OutOfRange, naming the violated condition.
     """
     n = _integer(n, "n", 1, UnsupportedSize)
@@ -382,14 +369,21 @@ def build_tree(n: int, links: Iterable[tuple[int, int]], root: int) -> RootedTre
         if parent[child]:
             raise MultipleHeads(f"vertex {child} has more than one parent")
         parent[child] = par
-    return _tree_from_parent(n, root, np.array(parent, dtype=np.int32))
+    n_links = n + 1 - parent.count(0)
+    if n_links < n - 1:
+        raise Disconnected(f"{n - 1} parent links needed to connect {n} vertices, got {n_links}")
+    if parent[root]:
+        raise _root_head_error(n, root, parent)
+    parent = np.array(parent, dtype=np.int32)
+    return RootedTree(n, root, parent, *_doubling_kernel(n, parent))
 
 
 def tree_from_heads(heads: Sequence[int]) -> RootedTree:
     """Build a tree from a head vector (``heads[i]`` is the parent of i+1).
 
     The one 0 entry marks the root; a vector with no 0 entry, or with
-    more than one, raises BadRoot.
+    more than one, raises BadRoot; one 0 gives n - 1 links and a
+    parentless root, so the doubling kernel is left to find any cycle.
     """
     head = np.asarray(heads)
     if head.ndim != 1 or (head.size and head.dtype.kind not in "iu"):
@@ -406,7 +400,8 @@ def tree_from_heads(heads: Sequence[int]) -> RootedTree:
         if h == v:
             raise CycleDetected(f"vertex {v} is its own parent")
         raise OutOfRange(f"link ({v}, {h}) not within 1..{n}")
-    return _tree_from_parent(n, int(zeros[0]) + 1, np.concatenate(([0], head), dtype=np.int32))
+    parent = np.concatenate(([0], head), dtype=np.int32)
+    return RootedTree(n, int(zeros[0]) + 1, parent, *_doubling_kernel(n, parent))
 
 
 def parse_head_vector(text: str) -> RootedTree:

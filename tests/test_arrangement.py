@@ -356,6 +356,14 @@ def test_planarity_small_sizes_against_oracle():
                 assert is_planar(t, a)
 
 
+def test_planarity_leaves_the_tree_views_unbuilt():
+    # is_planar reads the parent array; a tuple view cached on the caller's
+    # tree would outlive the call
+    t = random_tree(50, 3)
+    assert is_planar(t, sample_projective(t, 4))
+    assert not {"parent", "children", "order"} & vars(t).keys()
+
+
 def test_planarity_random_trees_against_oracle():
     # random permutations are mostly crossing, projective samples never,
     # and a projective sample with two vertices swapped is either
@@ -454,6 +462,18 @@ def test_enumerate_equals_oracle_filter_exhaustively():
     for n in range(1, 6):
         for t in enumerate_rooted_trees(n):
             assert set(enumerate_projective(t)) == set(brute_projective_arrangements(t))
+
+
+def test_unchecked_arrangements_equal_validated_ones():
+    # enumerate_projective and sample_projective wrap (pos, inverse) pairs
+    # without the bijection check of LinearArrangement's constructor
+    found = [a for n in range(1, 7) for t in enumerate_rooted_trees(n) for a in enumerate_projective(t)]
+    rng = np.random.default_rng(27)
+    found += [sample_projective(random_tree(int(rng.integers(1, 41)), rng), rng) for _ in range(200)]
+    for a in found:
+        validated = LinearArrangement(a.pos[1:])
+        assert validated == a and validated.inverse == a.inverse
+        assert all(type(x) is int for x in a.pos + a.inverse)
 
 
 def test_enumerate_eight_vertex_count():

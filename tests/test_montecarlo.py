@@ -161,7 +161,7 @@ def test_forest_kernel_sums_each_tree_row_for_row(trees, z, seed, bits):
         first_edge = forest.n + start - i  # each earlier tree has one root
         edges = offsets[:, first_edge : first_edge + tree.n - 1]
         positions = arrangement._positions(tree, np.concatenate((own, edges), axis=1))
-        want = [sum_edge_lengths(tree, LinearArrangement._of_bijection(row)) for row in positions]
+        want = [sum_edge_lengths(tree, LinearArrangement(row)) for row in positions]
         assert [row[i] for row in sums] == want
 
 

@@ -78,6 +78,45 @@ def test_validation_errors_by_name():
         build_tree(0, [], 1)
 
 
+# Every error build_tree raises for bad links: its class and message.
+BUILD_TREE_ERRORS = {
+    "too_few_links": (
+        (3, [(2, 1)], 1),
+        "Disconnected",
+        "2 parent links needed to connect 3 vertices, got 1",
+    ),
+    "root_parent_cycle_through_root": (
+        (3, [(1, 2), (2, 1), (3, 1)], 1),
+        "CycleDetected",
+        "vertex 1 is reached twice from root 1",
+    ),
+    "root_parent_parentless_vertex": (
+        (4, [(2, 1), (3, 1), (1, 4)], 1),
+        "Disconnected",
+        "vertex 4 is not reachable from root 1",
+    ),
+    "root_parent_cycle_above_root": (
+        (3, [(1, 2), (2, 3), (3, 2)], 1),
+        "CycleDetected",
+        "the unreachable vertices form one or more cycles",
+    ),
+    "cycle_beside_root": (
+        (4, [(2, 1), (3, 4), (4, 3)], 1),
+        "CycleDetected",
+        "the unreachable vertices form one or more cycles",
+    ),
+    "self_loop": ((2, [(1, 1), (2, 1)], 1), "CycleDetected", "vertex 1 is its own parent"),
+    "two_heads": ((3, [(2, 1), (2, 3)], 1), "MultipleHeads", "vertex 2 has more than one parent"),
+    "out_of_range_id": ((3, [(2, 1), (5, 1)], 1), "OutOfRange", "link (5, 1) not within 1..3"),
+}
+
+
+@pytest.mark.parametrize("case", BUILD_TREE_ERRORS)
+def test_build_tree_errors_are_pinned(case):
+    args, name, message = BUILD_TREE_ERRORS[case]
+    assert _views(lambda: build_tree(*args)) == (name, message)
+
+
 def test_head_vector_round_trip():
     t = parse_head_vector("0 1 1 2 2")
     assert t.head_vector() == "0 1 1 2 2"
@@ -446,7 +485,7 @@ def test_doubling_on_paths_around_powers_of_two(k):
             parent = np.zeros(n + 1, dtype=np.int32)
             parent[labels[1:]] = labels[:-1]
             given_parent = parent.copy()
-            got = _views(lambda: tree_module._tree_from_parent(n, labels[0], parent))
+            got = _views(lambda: tree_from_heads(parent[1:]))
             assert np.array_equal(parent, given_parent)
             _, _, order, size, out_degree = got
             assert order == tuple(labels)
@@ -462,5 +501,5 @@ def test_doubling_finds_a_two_cycle_beside_a_path_and_above_one():
     for heads in (beside, above):
         parent = np.array([0] + heads, dtype=np.int32)
         assert np.count_nonzero(parent) == n - 1
-        got = _views(lambda: tree_module._tree_from_parent(n, 1, parent))
+        got = _views(lambda: tree_from_heads(parent[1:]))
         assert got == ("CycleDetected", "the unreachable vertices form one or more cycles")
