@@ -190,7 +190,7 @@ def _cmd_maxima(args) -> int:
 
 def _cmd_analyze(args) -> int:
     try:
-        z_values = [int(tok) for tok in args.z.split(",") if tok.strip()]
+        z_values = [int(tok) for tok in args.z.split(",")]
     except ValueError:
         raise OutOfRange(f"--z must be a comma-separated list of integers: {args.z!r}") from None
     seed = _resolve_seed(args)

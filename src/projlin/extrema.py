@@ -21,9 +21,8 @@ denominator dividing 6, so ties are detected exactly and every minimizer
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Mapping, Sequence
+from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceeded, OutOfRange, _integer, _iterable
 from .expectation import expected_sum_unconstrained
@@ -33,8 +32,7 @@ DEFAULT_MIN_CAP = 20
 DEFAULT_TREE_ENUM_CAP = 10
 
 
-@dataclass(frozen=True)
-class OptimumEntry:
+class OptimumEntry(NamedTuple):
     """The optimal value for one size and every tree attaining it.
 
     ``trees`` holds pairwise non-isomorphic trees (distinct canonical

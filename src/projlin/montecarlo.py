@@ -14,9 +14,8 @@ presentation of such error studies (mean, min, max, and a 99% band).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +30,7 @@ _BOOTSTRAP_CELLS = 1_000_000
 CONFIDENCE = 0.99
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(NamedTuple):
     """A seeded Monte Carlo estimate from z samples."""
 
     z: int
@@ -40,8 +38,7 @@ class MCEstimate:
     seed: int
 
 
-@dataclass(frozen=True)
-class ErrorStats:
+class ErrorStats(NamedTuple):
     """Relative-error summary for one tree size."""
 
     n: int

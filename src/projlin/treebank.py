@@ -30,10 +30,8 @@ blocks can be spread over a process pool.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,8 +48,7 @@ from .tree import RootedTree, _forest, tree_from_heads
 _BLOCK_SENTENCES = 16
 
 
-@dataclass(frozen=True)
-class TreebankSentence:
+class TreebankSentence(NamedTuple):
     """One parsed sentence: its id and the tree of its word tokens, whose
     vertices are the tokens' compacted ids in surface order."""
 
@@ -59,17 +56,17 @@ class TreebankSentence:
     tree: RootedTree
 
 
-@dataclass(frozen=True)
-class SkipRecord:
+class SkipRecord(NamedTuple):
     """A sentence that was rejected, and why."""
 
     sentence_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class SentenceAnalysis:
-    """Per-sentence results; ``estimates`` maps z to (estimate, relative error)."""
+class SentenceAnalysis(NamedTuple):
+    """Per-sentence results.  ``estimates`` holds one (z, estimate, relative
+    error) triple per z, in the order the z values were given; the error is
+    None for a one-vertex sentence, whose exact expectation is zero."""
 
     sentence_id: str
     n: int
@@ -81,8 +78,7 @@ class SentenceAnalysis:
     estimates: tuple[tuple[int, float, float | None], ...]
 
 
-@dataclass(frozen=True)
-class TreebankReport:
+class TreebankReport(NamedTuple):
     sentences: tuple[SentenceAnalysis, ...]
     error_stats: dict[int, list[ErrorStats]]
     skips: dict[str, int]
@@ -298,6 +294,9 @@ def analyze_treebank(
 def write_sentence_csv(report: TreebankReport, fp: IO[str]) -> None:
     """Per-sentence rows, one per (sentence, z); exact values as fractions,
     arrangement counts with all their digits."""
+    # imported here and in write_summary_csv: only analyze writes CSV
+    import csv
+
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(
         [
@@ -333,6 +332,8 @@ def write_sentence_csv(report: TreebankReport, fp: IO[str]) -> None:
 
 def write_summary_csv(report: TreebankReport, fp: IO[str]) -> None:
     """Per-(z, tree size) error summaries with bootstrap intervals."""
+    import csv
+
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["z", "n", "count", "mean_err", "ci_low", "ci_high", "min_err", "max_err"])
     for z in sorted(report.error_stats):

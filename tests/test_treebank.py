@@ -1,6 +1,7 @@
 """CoNLL-U parsing and the per-sentence analysis pipeline."""
 
 import io
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -13,12 +14,15 @@ from projlin import (
     OutOfRange,
     SkipRecord,
     TreebankSentence,
+    aggregate_errors,
     analyze_treebank,
     canonical_code,
     count_projective,
+    estimate_expected_sum,
     expected_sum_projective,
     is_projective,
     make_class,
+    min_expected_sum,
     parse_conllu,
     parse_head_vector,
     random_tree,
@@ -477,3 +481,56 @@ def test_exact_column_is_a_fraction_string():
     write_sentence_csv(report, out)
     row = out.getvalue().splitlines()[1].split(",")
     assert row[7] == str(expected_sum_projective(parse_head_vector("0 1 1 2")))
+
+
+def _records():
+    """One record of each public record type, from the calls that return it."""
+    text = token_line(1, "a", 2) + "\n\n" + token_line(1, "b", 0) + "\n" + token_line(2, "c", 1) + "\n\n"
+    skip, sentence = conllu(text)
+    report = analyze_treebank([skip, sentence], z_values=(10, 20), seed=3)
+    return {
+        "MCEstimate": estimate_expected_sum(parse_head_vector("0 1 1 2"), z=10, seed=1),
+        "ErrorStats": aggregate_errors([(3, 0.25), (3, 0.5)], resamples=10)[0],
+        "TreebankSentence": sentence,
+        "SkipRecord": skip,
+        "SentenceAnalysis": report.sentences[0],
+        "TreebankReport": report,
+        "OptimumEntry": min_expected_sum(6),
+    }
+
+
+_RECORD_FIELDS = {
+    "MCEstimate": ("z", "mean", "seed"),
+    "ErrorStats": ("n", "samples", "mean_err", "min_err", "max_err", "ci_low", "ci_high"),
+    "TreebankSentence": ("sentence_id", "tree"),
+    "SkipRecord": ("sentence_id", "reason"),
+    "SentenceAnalysis": (
+        "sentence_id",
+        "n",
+        "observed_standard",
+        "observed_minus_one",
+        "projective",
+        "arrangement_count",
+        "exact",
+        "estimates",
+    ),
+    "TreebankReport": ("sentences", "error_stats", "skips"),
+    "OptimumEntry": ("n", "value", "trees"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_FIELDS))
+def test_records_construct_compare_pickle_and_print_as_before(name):
+    # The records are named tuples: built positionally or by keyword, equal
+    # to a plain tuple of their values, immutable, sent through pickle by the
+    # --jobs pool, and printed as Name(field=value, ...).
+    record = _records()[name]
+    cls = type(record)
+    fields = _RECORD_FIELDS[name]
+    assert cls.__name__ == name and cls._fields == fields
+    values = tuple(getattr(record, field) for field in fields)
+    assert cls(*values) == cls(**dict(zip(fields, values))) == record == values
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], values[0])
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert repr(record) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
